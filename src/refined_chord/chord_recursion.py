@@ -39,7 +39,7 @@ from itertools import product
 from math import comb, factorial, gcd
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
-from .lattice import Degree, Vec, make_degree, omega
+from .lattice import Degree, Vec, make_degree, omega, vectors_key
 from .refined_poly import RefinedPolynomial, q_analog
 
 Block = Tuple[Vec, ...]
@@ -115,11 +115,12 @@ def _primitive(v: Vec) -> Vec:
     return (v[0] // g, v[1] // g)
 
 
-def _remove_ends(d: Degree, v1: Vec, vm: Vec) -> Counter:
-    pool = Counter(d.vectors)
-    for v in (v1, vm):
+def _remove_ends(vectors: Tuple[Vec, ...], *ends: Vec) -> Counter:
+    """The multiset ``vectors`` with one instance of each of ``ends`` taken out."""
+    pool = Counter(vectors)
+    for v in ends:
         if pool[v] <= 0:
-            raise VectorNotInDegree(f"{v} cannot be removed from {d.vectors}")
+            raise VectorNotInDegree(f"{v} cannot be removed from {vectors}")
         pool[v] -= 1
     return +pool
 
@@ -160,7 +161,7 @@ def enumerate_decompositions(d: Degree, v1: Vec, vm: Vec) -> Iterator[ChordDecom
     """
     if d.m < 3:
         raise ValueError("decompositions need at least 3 ends")
-    pool = _remove_ends(d, v1, vm)
+    pool = _remove_ends(d.vectors, v1, vm)
     pool_items = tuple(sorted(pool.items()))
     w1 = (-v1[0], -v1[1])
     for blocks, us, ws, sigmas in _search(pool_items, w1, None, None, (), (), (w1,), ()):
@@ -277,21 +278,14 @@ def refined_invariant(
         return _ONE
     if v1 is None and vm is None:
         return _invariant(d.vectors, cache)
-    pool = Counter(d.vectors)
-    for v in (v1, vm):
-        if v is not None:
-            if pool[v] <= 0:
-                raise VectorNotInDegree(f"{v} cannot be removed from {d.vectors}")
-            pool[v] -= 1
+    pool = _remove_ends(d.vectors, *(v for v in (v1, vm) if v is not None))
     if v1 is None or vm is None:
         # one end fixed by the caller: partner it with the candidate that
         # leaves the fewest distinct vectors, ties broken lexicographically
         def leftover(v):
             return sum(1 for x, c in pool.items() if c - (x == v) > 0)
 
-        partner = min(
-            (v for v, c in pool.items() if c > 0), key=lambda v: (leftover(v), v)
-        )
+        partner = min(pool, key=lambda v: (leftover(v), v))
         if v1 is None:
             v1 = partner
         else:
@@ -303,7 +297,7 @@ def refined_invariant(
 def _invariant(vectors: Tuple[Vec, ...], cache) -> RefinedPolynomial:
     if len(vectors) == 2:
         return _ONE
-    key = ";".join(f"({x},{y})" for x, y in vectors)
+    key = vectors_key(vectors)
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -341,65 +335,91 @@ def _chord_sum(vectors, v1, vm, cache) -> RefinedPolynomial:
     remaining pool, the direction of the previous ``sigma*u`` and the
     previous block key, so suffix sums are memoized on that state; the
     chord slope ``w`` is itself a function of the remaining pool.
+
+    Candidate blocks are streamed as per-vector take counts with the block
+    size ``n`` and ``u`` kept as running sums, and rejected in this order,
+    the first three before any tuple is built: ``sigma == 0``; ``sigma > 0``
+    with ``n > 1``; ``omega(prev_su_dir, u) * sigma < 0``; and, for ``u``
+    colinear with the previous ``sigma*u``, ``block <= prev_key``. The tie
+    rule is ``<=`` where ``_search`` uses ``<`` because the ``r`` loop
+    already takes a run of identical blocks together, so letting an equal
+    block follow would count that run a second time.
     """
-    pool = Counter(vectors)
-    for v in (v1, vm):
-        if pool[v] <= 0:
-            raise VectorNotInDegree(f"{v} cannot be removed from {vectors}")
-        pool[v] -= 1
-    pool_items = tuple(sorted((+pool).items()))
+    pool_items = tuple(sorted(_remove_ends(vectors, v1, vm).items()))
     memo: Dict[tuple, RefinedPolynomial] = {}
     total_len = len(vectors)
-    zero = RefinedPolynomial.zero()
 
     def suffix_sum(pool_items, w, prev_su_dir, prev_key):
         state = (pool_items, prev_su_dir, prev_key)
         hit = memo.get(state)
         if hit is not None:
             return hit
-        total = zero
-        for block, _rest, u in _sub_multisets(pool_items):
-            sigma = omega(w, u)
-            if sigma == 0:
+        vecs = [v for v, _ in pool_items]
+        counts = [c for _, c in pool_items]
+        k = len(counts)
+        w0, w1 = w
+        summands = []
+        takes = [0] * k
+        n = ux = uy = 0
+        while True:
+            # next take vector, odometer order; n and u follow incrementally
+            i = 0
+            while i < k:
+                if takes[i] < counts[i]:
+                    takes[i] += 1
+                    n += 1
+                    ux -= vecs[i][0]
+                    uy -= vecs[i][1]
+                    break
+                t = takes[i]
+                takes[i] = 0
+                n -= t
+                ux += t * vecs[i][0]
+                uy += t * vecs[i][1]
+                i += 1
+            else:
+                break
+            sigma = w0 * uy - w1 * ux  # omega(w, u)
+            if sigma == 0 or (sigma > 0 and n > 1):
                 continue
-            if sigma > 0 and len(block) > 1:
-                continue
+            cross = None
             if prev_su_dir is not None:
-                cross = omega(prev_su_dir, u)
+                cross = prev_su_dir[0] * uy - prev_su_dir[1] * ux
                 if cross * sigma < 0:
                     continue
-                if cross == 0 and block <= prev_key:
-                    continue
+            block = ()
+            for v, t in zip(vecs, takes):
+                if t:
+                    block += (v,) * t
+            if cross == 0 and block <= prev_key:
+                continue
             factor = q_analog(abs(sigma))
-            if len(block) > 1:
-                closed = block + ((u[0], u[1]),)
+            if n > 1:
+                closed = block + ((ux, uy),)
                 assert len(closed) < total_len
                 factor = factor * _invariant(tuple(sorted(closed)), cache)
-            block_counts = Counter(block)
-            pool_map = dict(pool_items)
-            max_r = min(pool_map[v] // c for v, c in block_counts.items())
-            su_dir = _primitive((sigma * u[0], sigma * u[1]))
+            block_counts = {v: t for v, t in zip(vecs, takes) if t}
+            max_r = min(c // t for c, t in zip(counts, takes) if t)
+            su_dir = _primitive((sigma * ux, sigma * uy))
             # identical blocks repeat with the same sigma; take r at once
-            term = _ONE
+            term = factor
             for r in range(1, max_r + 1):
-                term = term * factor
-                fam = _group_families(pool_map, block_counts, r)
+                if r > 1:
+                    term = term * factor
+                fam = _group_families(pool_items, block_counts, r)
                 rest = tuple(
-                    (v, c - r * block_counts.get(v, 0))
-                    for v, c in pool_items
-                    if c - r * block_counts.get(v, 0) > 0
+                    (v, c - r * t)
+                    for v, c, t in zip(vecs, counts, takes)
+                    if c - r * t > 0
                 )
-                if not rest:
-                    assert (w[0] + r * u[0], w[1] + r * u[1]) == vm
-                    total = total + fam * term
+                w_next = (w0 + r * ux, w1 + r * uy)
+                if rest:
+                    tail = suffix_sum(rest, w_next, su_dir, block)
                 else:
-                    tail = suffix_sum(
-                        rest,
-                        (w[0] + r * u[0], w[1] + r * u[1]),
-                        su_dir,
-                        block,
-                    )
-                    total = total + fam * term * tail
+                    assert w_next == vm
+                    tail = None
+                summands.append((fam, term, tail))
+        total = RefinedPolynomial.sum_of_products(summands)
         memo[state] = total
         return total
 

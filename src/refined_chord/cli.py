@@ -179,12 +179,29 @@ def load_cache(path: str) -> Dict[str, RefinedPolynomial]:
 
 
 def save_cache(path: str, cache: Dict[str, RefinedPolynomial]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"version": CACHE_VERSION}) + "\n")
-        for key in sorted(cache):
-            fh.write(
-                json.dumps({"key": key, "poly": cache[key].to_json_dict()}) + "\n"
-            )
+    """Write the cache file whole or not at all.
+
+    The entries go to a temporary file in the target's directory, which then
+    replaces the target in one rename, so readers and concurrent writers see
+    either the old file or a complete new one. A failure part way leaves the
+    old file untouched and removes the temporary one. Nothing is synced to
+    disk, so a power loss can still lose the latest save.
+    """
+    # O_EXCL: a name clash fails instead of sharing a file; 0o666 lets the
+    # umask set the mode, as a plain open() of the target would
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"version": CACHE_VERSION}) + "\n")
+            for key in sorted(cache):
+                fh.write(
+                    json.dumps({"key": key, "poly": cache[key].to_json_dict()}) + "\n"
+                )
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _render(poly: RefinedPolynomial, fmt: str) -> str:

@@ -89,7 +89,12 @@ def canonical_key(d: Degree) -> str:
     The string is injective on multisets and stable across runs; it is the
     cache key used by the persistent memo store.
     """
-    return ";".join(f"({x},{y})" for x, y in d.vectors)
+    return vectors_key(d.vectors)
+
+
+def vectors_key(vectors: Sequence[Vec]) -> str:
+    """The :func:`canonical_key` serialization of an already sorted vector tuple."""
+    return ";".join(f"({x},{y})" for x, y in vectors)
 
 
 def cp2_degree(d: int, parts: Sequence[int]) -> Degree:

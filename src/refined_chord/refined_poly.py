@@ -10,7 +10,7 @@ hence exact at any size.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 
 class BadArity(ValueError):
@@ -46,6 +46,42 @@ class RefinedPolynomial:
     def monomial(cls, half_exp: int, coeff: int = 1) -> "RefinedPolynomial":
         """The single term ``coeff * q^(half_exp/2)``."""
         return cls({half_exp: coeff})
+
+    @classmethod
+    def sum_of_products(
+        cls,
+        summands: Iterable[
+            Tuple[int, "RefinedPolynomial", Optional["RefinedPolynomial"]]
+        ],
+    ) -> "RefinedPolynomial":
+        """``sum(scale * a * b)`` over ``(scale, a, b)`` triples, ``b`` optional.
+
+        Equal to building the sum with ``*`` and ``+``, but every product is
+        multiplied straight into one accumulator, with no intermediate
+        polynomials; ``scale`` is a plain integer. A ``b`` of None means the
+        summand is ``scale * a``.
+        """
+        acc: Dict[int, int] = {}
+        get = acc.get
+        for scale, a, b in summands:
+            if b is None:
+                for k, c in a._terms.items():
+                    acc[k] = get(k, 0) + scale * c
+                continue
+            b_items = b._terms.items()
+            for k1, c1 in a._terms.items():
+                sc = scale * c1
+                for k2, c2 in b_items:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + sc * c2
+        return cls._adopt({k: c for k, c in acc.items() if c})
+
+    @classmethod
+    def _adopt(cls, terms: Dict[int, int]) -> "RefinedPolynomial":
+        """Wrap ``terms`` without copying: int keys, nonzero int values only."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
 
     # -- inspection -------------------------------------------------------
 
@@ -95,12 +131,12 @@ class RefinedPolynomial:
                 terms[k] = s
             else:
                 terms.pop(k, None)
-        return RefinedPolynomial(terms)
+        return RefinedPolynomial._adopt(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RefinedPolynomial({k: -c for k, c in self._terms.items()})
+        return RefinedPolynomial._adopt({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -124,7 +160,7 @@ class RefinedPolynomial:
                     prod[k] = s
                 else:
                     del prod[k]
-        return RefinedPolynomial(prod)
+        return RefinedPolynomial._adopt(prod)
 
     __rmul__ = __mul__
 

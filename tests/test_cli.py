@@ -164,6 +164,26 @@ def test_cache_round_trip(tmp_path):
     assert loaded == cache
 
 
+def test_cache_save_failure_keeps_old_file(tmp_path):
+    path = tmp_path / "memo.jsonl"
+    save_cache(str(path), {"(-1,0);(0,-1);(1,1)": RefinedPolynomial({0: 1})})
+    before = path.read_bytes()
+
+    class Unserializable(RefinedPolynomial):
+        def to_json_dict(self):
+            raise RuntimeError("serialization failed")
+
+    cache = {
+        "a": RefinedPolynomial({0: 1}),
+        "b": RefinedPolynomial({1: 1, -1: 1}),
+        "c": Unserializable({0: 2}),
+    }
+    with pytest.raises(RuntimeError):
+        save_cache(str(path), cache)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["memo.jsonl"]
+
+
 def test_cache_version_rejected(tmp_path):
     path = tmp_path / "memo.jsonl"
     path.write_text('{"version": 99}\n')

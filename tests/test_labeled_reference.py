@@ -112,6 +112,9 @@ def test_labeled_recount_heavy_multiplicities():
         [(-2, 0), (0, -2), (2, 2)],
         [(0, -1)] * 4 + [(-1, 2), (1, 2)],
         [(-1, 0)] * 3 + [(1, 0)] * 3 + [(0, -1), (0, 1)],
+        # colinear-heavy: long runs of identical blocks meet the tie rule
+        [(-1, 0)] * 3 + [(1, 0)] * 3 + [(0, -1)] * 2 + [(0, 1)] * 2,
+        cp2_degree(4, [2, 1, 1]).vectors,
     ]:
         d = make_degree(vecs)
         v1, vm = _default_ends(d.vectors)

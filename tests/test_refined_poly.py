@@ -54,6 +54,37 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+def _sum_by_operators(summands):
+    total = P.zero()
+    for scale, a, b in summands:
+        total = total + (scale * a if b is None else scale * a * b)
+    return total
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(-5, 5), polys, st.one_of(st.none(), polys)),
+        max_size=5,
+    )
+)
+def test_sum_of_products_matches_operators(summands):
+    got = P.sum_of_products(summands)
+    assert got == _sum_by_operators(summands)
+    assert 0 not in dict(got.items()).values()
+
+
+def test_sum_of_products_cancellation():
+    s = P({1: 1, -1: 1})
+    d = P({1: 1, -1: -1})
+    summands = [(3, s, d), (-3, d, s), (2, P({0: 5}), None), (-10, P.one(), None)]
+    assert P.sum_of_products(summands) == P.zero()
+    assert P.sum_of_products(summands).support == ()
+    # partial cancellation: only the constant term survives
+    summands = [(1, s, s), (-1, d, d)]
+    assert P.sum_of_products(summands) == P({2: 0, 0: 4, -2: 0}) == 4
+    assert P.sum_of_products([]) == P.zero()
+
+
 def test_q_analog_values():
     assert q_analog(1) == P.one()
     assert q_analog(2) == P({1: 1, -1: 1})
