@@ -2,8 +2,8 @@
 
 Two independent engines compute the same Laurent-polynomial invariant of a
 zero-sum multiset of lattice vectors: a fast chord recursion
-(:func:`refined_invariant`) and a brute-force enumerator of tree shapes
-(:func:`oracle_invariant`) used to cross-validate it.
+(:func:`refined_invariant`) and a definition-level dynamic program over
+subsets of end moments (:func:`oracle_invariant`) used to cross-validate it.
 """
 
 from .lattice import (
@@ -35,19 +35,11 @@ from .chord_recursion import (
     sub_degree,
 )
 from .direct_enumerator import (
-    CombinatorialTree,
-    FlatVertex,
     GenericityFailure,
     ORACLE_END_GUARD,
-    Rational,
     TooLarge,
-    TypeSolution,
-    enumerate_trees,
-    iter_solutions,
     oracle_invariant,
-    refined_multiplicity,
     sample_generic_moments,
-    solve_type,
 )
 
 __version__ = "1.0.0"
@@ -56,19 +48,15 @@ __all__ = [
     "BadArity",
     "BadPartition",
     "ChordDecomposition",
-    "CombinatorialTree",
     "Degree",
     "DegreeError",
     "DegenerateBlock",
-    "FlatVertex",
     "GenericityFailure",
     "NonZeroSum",
     "ORACLE_END_GUARD",
-    "Rational",
     "RefinedPolynomial",
     "TooLarge",
     "TooSmall",
-    "TypeSolution",
     "Vec",
     "VectorNotInDegree",
     "ZeroVector",
@@ -76,16 +64,12 @@ __all__ = [
     "canonical_representative",
     "cp2_degree",
     "enumerate_decompositions",
-    "enumerate_trees",
-    "iter_solutions",
     "make_degree",
     "mikhalkin_normalization",
     "omega",
     "oracle_invariant",
     "q_analog",
     "refined_invariant",
-    "refined_multiplicity",
     "sample_generic_moments",
-    "solve_type",
     "sub_degree",
 ]

@@ -233,17 +233,20 @@ def _sub_multisets(pool):
         yield tuple(block), rest, (ux, uy)
 
 
-def _default_ends(vectors: Tuple[Vec, ...]) -> Tuple[Vec, Vec]:
+def _default_ends(
+    vectors: Tuple[Vec, ...], v1: Optional[Vec] = None, vm: Optional[Vec] = None
+) -> Tuple[Vec, Vec]:
     """Pick chord ends minimizing the distinct vectors left in the pool.
 
-    A coarse proxy for fewer decompositions; correctness never depends on
-    the choice. Ties break lexicographically, so the pick is deterministic.
+    A given ``v1`` or ``vm`` is kept and only the other end is chosen. A
+    coarse proxy for fewer decompositions; correctness never depends on the
+    choice. Ties break lexicographically, so the pick is deterministic.
     """
     counts = Counter(vectors)
     values = sorted(counts)
     best = None
-    for a in values:
-        for b in values:
+    for a in values if v1 is None else (v1,):
+        for b in values if vm is None else (vm,):
             if a == b and counts[a] < 2:
                 continue
             distinct = sum(
@@ -278,18 +281,8 @@ def refined_invariant(
         return _ONE
     if v1 is None and vm is None:
         return _invariant(d.vectors, cache)
-    pool = _remove_ends(d.vectors, *(v for v in (v1, vm) if v is not None))
     if v1 is None or vm is None:
-        # one end fixed by the caller: partner it with the candidate that
-        # leaves the fewest distinct vectors, ties broken lexicographically
-        def leftover(v):
-            return sum(1 for x, c in pool.items() if c - (x == v) > 0)
-
-        partner = min(pool, key=lambda v: (leftover(v), v))
-        if v1 is None:
-            v1 = partner
-        else:
-            vm = partner
+        v1, vm = _default_ends(d.vectors, v1, vm)
     # an explicit chord bypasses the top-level memo entry on purpose
     return _chord_sum(d.vectors, v1, vm, cache)
 

@@ -221,11 +221,12 @@ def cmd_compute(args) -> int:
     cache: Dict[str, RefinedPolynomial] = {}
     if cache_path and os.path.exists(cache_path):
         cache = load_cache(cache_path)
+    known = len(cache)
     value = refined_invariant(d, v1=v1, vm=vm, cache=cache)
     if v1 is None and vm is None:
         cache.setdefault(canonical_key(d), value)
     print(_render(value, args.format))
-    if cache_path:
+    if cache_path and len(cache) > known:
         save_cache(cache_path, cache)
     return 0
 
@@ -305,12 +306,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-path", help=f"memo file (default ${CACHE_ENV})")
     p.set_defaults(func=cmd_compute)
 
-    p = sub.add_parser("oracle", help="compute the invariant by brute force")
+    p = sub.add_parser("oracle", help="compute the invariant from the definition")
     p.add_argument("spec")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--max-ends", type=int, default=ORACLE_END_GUARD,
-                   help="raise the factorial-growth guard explicitly")
+                   help="raise the exponential-growth guard explicitly")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify", help="cross-check recursion against the oracle")

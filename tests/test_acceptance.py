@@ -19,8 +19,6 @@ from refined_chord import (
     RefinedPolynomial,
     canonical_key,
     cp2_degree,
-    enumerate_trees,
-    iter_solutions,
     omega,
     oracle_invariant,
     refined_invariant,
@@ -30,6 +28,7 @@ from refined_chord.cli import main, render_partition
 from refined_chord.direct_enumerator import _DegenerateConfiguration
 from conftest import CORPUS, NON_CP2, NON_PRIMITIVE
 from test_direct_enumerator import _vertex_positions
+from tree_reference import enumerate_trees, iter_solutions
 
 P = RefinedPolynomial
 
@@ -117,6 +116,14 @@ def test_criterion_2_degree_five(capsys):
         "with at most 11 ends; the stated constant appears to carry a "
         "transcription error, and this test documents the discrepancy."
     )
+
+
+def test_degree_five_by_oracle():
+    # evidence for the value pinned in
+    # test_chord_recursion.py::test_degree_five_regression: the subset-DP
+    # oracle reaches the 15-end degree directly and agrees with it
+    value = oracle_invariant(cp2_degree(5, [1] * 5), seed=0, max_ends=15)
+    assert value == _sym({12: 1, 10: 13, 8: 91, 6: 455, 4: 1745, 2: 5273, 0: 10719})
 
 
 def test_criterion_3_oracle_equivalence(capsys):

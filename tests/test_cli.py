@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -199,6 +200,17 @@ def test_compute_writes_and_reuses_cache(tmp_path, capsys):
     assert any("(-1,0)" in key for key in data)
     assert main(["compute", "P2:3", "--cache-path", str(path)]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_compute_cache_hit_leaves_file_alone(tmp_path, capsys):
+    # a hit adds no entry, so the file is not rewritten (a rewrite renames a
+    # new file over it, which changes the inode)
+    path = tmp_path / "memo.jsonl"
+    assert main(["compute", "P2:3", "--cache-path", str(path)]) == 0
+    inode = os.stat(path).st_ino
+    assert main(["compute", "P2:3", "--cache-path", str(path)]) == 0
+    assert os.stat(path).st_ino == inode
+    assert capsys.readouterr().out.splitlines() == ["q + 7 + q^-1"] * 2
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

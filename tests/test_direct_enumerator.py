@@ -3,23 +3,27 @@ from fractions import Fraction
 import pytest
 
 from refined_chord import (
-    CombinatorialTree,
-    FlatVertex,
     RefinedPolynomial,
     TooLarge,
     cp2_degree,
-    enumerate_trees,
-    iter_solutions,
     make_degree,
     omega,
     oracle_invariant,
     refined_invariant,
-    refined_multiplicity,
     sample_generic_moments,
+)
+from refined_chord.cli import parse_degree
+from refined_chord.direct_enumerator import _DegenerateConfiguration, _subset_count
+from refined_chord.refined_poly import q_analog
+from conftest import CORPUS
+from tree_reference import (
+    CombinatorialTree,
+    FlatVertex,
+    enumerate_trees,
+    iter_solutions,
+    refined_multiplicity,
     solve_type,
 )
-from refined_chord.direct_enumerator import _DegenerateConfiguration
-from conftest import CORPUS
 
 P = RefinedPolynomial
 
@@ -207,7 +211,7 @@ def test_genericity_failure_after_redraw_bound(monkeypatch):
 def test_exact_solver_against_plain_elimination():
     import random as rnd
 
-    from refined_chord.direct_enumerator import _solve_exact
+    from tree_reference import _solve_exact
 
     def plain_solve(A, b):
         n = len(A)
@@ -334,3 +338,35 @@ def test_solutions_satisfy_constraints_exactly():
 def test_oracle_agrees_with_recursion_spot():
     for name, d in [CORPUS[1], CORPUS[8], CORPUS[10]]:
         assert oracle_invariant(d, seed=5) == refined_invariant(d, cache={}), name
+
+
+def test_three_engines_agree_on_small_corpus():
+    # at one moment draw per degree, the subset DP and the literal tree sum
+    # count the same curves, and both equal the chord recursion
+    for name, d in CORPUS:
+        if d.m > 7:
+            continue
+        for attempt in range(100):
+            mu = sample_generic_moments(d, 3 + attempt)
+            try:
+                trees = P.zero()
+                for _tree, _sol, mults in iter_solutions(d, mu):
+                    term = P.one()
+                    for mv in mults:
+                        term = term * q_analog(mv)
+                    trees = trees + term
+                dp = _subset_count(d.vectors, mu)
+            except _DegenerateConfiguration:
+                continue
+            break
+        else:
+            raise AssertionError(f"{name}: no generic draw")
+        rec = refined_invariant(d, cache={})
+        assert dp == trees == rec, name
+        assert oracle_invariant(d, seed=3) == rec, name
+
+
+@pytest.mark.parametrize("spec", ["P2:4:2,2", "P2:4", "P1xP1:3,3", "P2:5:2,2,1"])
+def test_oracle_agrees_with_recursion_beyond_tree_reach(spec):
+    d = parse_degree(spec)
+    assert oracle_invariant(d, seed=0) == refined_invariant(d, cache={}), spec
