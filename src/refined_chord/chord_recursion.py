@@ -46,6 +46,9 @@ Block = Tuple[Vec, ...]
 
 _ONE = RefinedPolynomial.one()
 
+# suffix states stored per top-level call; P2:8 stores about 33,000 (36 MB peak)
+SUFFIX_MEMO_GUARD = 250_000
+
 
 class DegenerateBlock(ValueError):
     """A block of ends sums to zero, which would force a zero-slope edge."""
@@ -279,23 +282,26 @@ def refined_invariant(
         cache = {}
     if d.m == 2:
         return _ONE
+    memo: Dict[tuple, RefinedPolynomial] = {}
     if v1 is None and vm is None:
-        return _invariant(d.vectors, cache)
+        return _invariant(d.vectors, cache, memo)
     if v1 is None or vm is None:
         v1, vm = _default_ends(d.vectors, v1, vm)
     # an explicit chord bypasses the top-level memo entry on purpose
-    return _chord_sum(d.vectors, v1, vm, cache)
+    return _chord_sum(d.vectors, v1, vm, cache, memo)
 
 
-def _invariant(vectors: Tuple[Vec, ...], cache) -> RefinedPolynomial:
+def _invariant(vectors: Tuple[Vec, ...], cache, memo=None) -> RefinedPolynomial:
     if len(vectors) == 2:
         return _ONE
     key = vectors_key(vectors)
     hit = cache.get(key)
     if hit is not None:
         return hit
+    if memo is None:
+        memo = {}
     v1, vm = _default_ends(vectors)
-    value = _chord_sum(vectors, v1, vm, cache)
+    value = _chord_sum(vectors, v1, vm, cache, memo)
     cache[key] = value
     return value
 
@@ -318,7 +324,7 @@ def _group_families(pool, block_counts, r):
     return ways // factorial(r)
 
 
-def _chord_sum(vectors, v1, vm, cache) -> RefinedPolynomial:
+def _chord_sum(vectors, v1, vm, cache, memo) -> RefinedPolynomial:
     """Sum the recursion over admissible decompositions of ``vectors``.
 
     Runs of identical blocks are chosen atomically (they share one sigma,
@@ -328,6 +334,17 @@ def _chord_sum(vectors, v1, vm, cache) -> RefinedPolynomial:
     remaining pool, the direction of the previous ``sigma*u`` and the
     previous block key, so suffix sums are memoized on that state; the
     chord slope ``w`` is itself a function of the remaining pool.
+
+    A state never depends on ``v1``: the degree sums to zero, so
+    ``w = vm + sum(remaining pool)``. One ``memo`` therefore serves every
+    sub-degree of a top-level call, keyed by ``vm`` and the state. It is
+    created by :func:`refined_invariant` and dropped when that call returns,
+    never stored in ``cache`` (which callers persist), and cleared whenever
+    it reaches ``SUFFIX_MEMO_GUARD`` states, which costs time but changes
+    no value. ``suffix_sum`` refers to itself through its closure cell, a
+    reference cycle that would keep the memo alive until the cyclic garbage
+    collector runs; deleting the name on exit breaks the cycle, so reference
+    counting frees the memo as soon as the call returns.
 
     Candidate blocks are streamed as per-vector take counts with the block
     size ``n`` and ``u`` kept as running sums, and rejected in this order,
@@ -339,11 +356,10 @@ def _chord_sum(vectors, v1, vm, cache) -> RefinedPolynomial:
     block follow would count that run a second time.
     """
     pool_items = tuple(sorted(_remove_ends(vectors, v1, vm).items()))
-    memo: Dict[tuple, RefinedPolynomial] = {}
     total_len = len(vectors)
 
     def suffix_sum(pool_items, w, prev_su_dir, prev_key):
-        state = (pool_items, prev_su_dir, prev_key)
+        state = (vm, pool_items, prev_su_dir, prev_key)
         hit = memo.get(state)
         if hit is not None:
             return hit
@@ -390,7 +406,7 @@ def _chord_sum(vectors, v1, vm, cache) -> RefinedPolynomial:
             if n > 1:
                 closed = block + ((ux, uy),)
                 assert len(closed) < total_len
-                factor = factor * _invariant(tuple(sorted(closed)), cache)
+                factor = factor * _invariant(tuple(sorted(closed)), cache, memo)
             block_counts = {v: t for v, t in zip(vecs, takes) if t}
             max_r = min(c // t for c, t in zip(counts, takes) if t)
             su_dir = _primitive((sigma * ux, sigma * uy))
@@ -413,7 +429,12 @@ def _chord_sum(vectors, v1, vm, cache) -> RefinedPolynomial:
                     tail = None
                 summands.append((fam, term, tail))
         total = RefinedPolynomial.sum_of_products(summands)
+        if len(memo) >= SUFFIX_MEMO_GUARD:
+            memo.clear()
         memo[state] = total
         return total
 
-    return suffix_sum(pool_items, (-v1[0], -v1[1]), None, None)
+    try:
+        return suffix_sum(pool_items, (-v1[0], -v1[1]), None, None)
+    finally:
+        del suffix_sum

@@ -37,7 +37,7 @@ from .refined_poly import RefinedPolynomial
 
 CACHE_ENV = "REFINED_CHORD_CACHE"
 CACHE_VERSION = 1
-TABLE_DEGREE_GUARD = 5
+TABLE_DEGREE_GUARD = 6
 
 
 class ParseError(ValueError):

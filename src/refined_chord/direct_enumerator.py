@@ -27,9 +27,9 @@ vertex, the two ways a configuration can sit on the degenerate locus.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_right
-from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .lattice import Degree
@@ -77,7 +77,14 @@ def _subset_count(vectors, mu: Sequence[int]) -> RefinedPolynomial:
     bitmask), their root positions ``u_S . C`` sorted ascending and the
     suffix sums of their weights. Every proper subset of ``S`` is a smaller
     integer, so ascending masks fill the table before it is read.
+
+    A position is ``num / det`` with ``|det| <= sum|x| * sum|y|`` over the
+    degree, so it is stored as the exact integer ``num * (scale // det)``
+    for ``scale`` the lcm of every possible ``|det|``.
     """
+    scale = math.lcm(
+        *range(1, sum(abs(v[0]) for v in vectors) * sum(abs(v[1]) for v in vectors) + 1)
+    )
     n = len(vectors) - 1
     size = 1 << n
     ux, uy, mom = [0] * size, [0] * size, [0] * size
@@ -110,12 +117,13 @@ def _subset_count(vectors, mu: Sequence[int]) -> RefinedPolynomial:
                 continue
             # C = (ma * u_b - mb * u_a) / det solves omega(u_a, C) = ma, omega(u_b, C) = mb
             cx, cy = ma * bx - mb * ax, ma * by - mb * ay
+            step = scale // det
             weight = q_analog(abs(det))
             for child, kx, ky in ((a, ax, ay), (b, bx, by)):
                 if child & (child - 1) == 0:
                     continue
                 keys, tails = table[child]
-                at = Fraction(kx * cx + ky * cy, det)
+                at = (kx * cx + ky * cy) * step
                 i = bisect_right(keys, at)
                 if i and keys[i - 1] == at:
                     raise _DegenerateConfiguration(f"zero-length edge to {child}")
@@ -123,7 +131,7 @@ def _subset_count(vectors, mu: Sequence[int]) -> RefinedPolynomial:
                     break
                 weight = weight * tails[i]
             else:
-                entries.append((Fraction((ax + bx) * cx + (ay + by) * cy, det), weight))
+                entries.append((((ax + bx) * cx + (ay + by) * cy) * step, weight))
         entries.sort(key=lambda e: e[0])
         tails = [None] * len(entries)
         acc = RefinedPolynomial.zero()

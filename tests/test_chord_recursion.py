@@ -1,3 +1,4 @@
+import gc
 import itertools
 from collections import Counter
 
@@ -13,10 +14,12 @@ from refined_chord import (
     enumerate_decompositions,
     make_degree,
     omega,
+    oracle_invariant,
     q_analog,
     refined_invariant,
     sub_degree,
 )
+from refined_chord import chord_recursion
 from conftest import CORPUS
 
 P = RefinedPolynomial
@@ -193,6 +196,27 @@ def test_memoization_transparency():
         again = refined_invariant(d, cache=shared)
         assert fresh == cached == again, name
         assert refined_invariant(d) == fresh, name
+
+
+def test_recursion_leaves_no_cyclic_garbage():
+    # the suffix memo is freed by reference counting when the call returns
+    d = cp2_degree(5, [1] * 5)
+    refined_invariant(d, cache={})
+    gc.collect()
+    gc.disable()
+    try:
+        refined_invariant(d, cache={})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_suffix_memo_guard_changes_no_value(monkeypatch):
+    # clearing the memo only costs time: every value is recomputed exactly
+    pinned = {name: oracle_invariant(d, seed=0) for name, d in CORPUS}
+    monkeypatch.setattr(chord_recursion, "SUFFIX_MEMO_GUARD", 1)
+    for name, d in CORPUS:
+        assert refined_invariant(d, cache={}) == pinned[name], name
 
 
 def test_generator_sum_matches_fast_engine():

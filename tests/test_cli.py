@@ -150,7 +150,7 @@ def test_table_degree_three(capsys):
 
 
 def test_table_guard(capsys):
-    assert main(["table", "--max-degree", "6"]) == 2
+    assert main(["table", "--max-degree", "7"]) == 2
     assert "guard" in capsys.readouterr().err
 
 
