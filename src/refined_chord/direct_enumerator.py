@@ -35,7 +35,10 @@ from typing import Sequence, Tuple
 from .lattice import Degree
 from .refined_poly import RefinedPolynomial, q_analog
 
-# 2**(m-1) subsets and about 3**(m-1)/2 splits: 15 ends take tens of seconds
+# 2**(m-1) subsets and about 3**(m-1)/2 splits: P2:5 (15 ends) takes about 8 s
+# and 110 MB. Large entries cost too, through the polynomial degree of the
+# weights: ((-9,2),(2,-9),(7,7))*4 (12 ends) takes minutes. The guard bounds
+# only the number of ends.
 ORACLE_END_GUARD = 14
 
 
@@ -78,13 +81,14 @@ def _subset_count(vectors, mu: Sequence[int]) -> RefinedPolynomial:
     suffix sums of their weights. Every proper subset of ``S`` is a smaller
     integer, so ascending masks fill the table before it is read.
 
-    A position is ``num / det`` with ``|det| <= sum|x| * sum|y|`` over the
-    degree, so it is stored as the exact integer ``num * (scale // det)``
-    for ``scale`` the lcm of every possible ``|det|``.
+    A position is ``num / det``, so the keys of ``S`` are stored as the exact
+    integers ``num * (scale // det)`` for ``scale`` the lcm of the ``det`` of
+    its own entries; a position ``p / d`` is then looked up as
+    ``floor(p * scale / d)``, which lands on a key exactly when ``d`` divides
+    ``p * scale``. The scale has at most one factor per split of ``S``, so
+    its size grows with the number of ends and only logarithmically with the
+    size of the entries.
     """
-    scale = math.lcm(
-        *range(1, sum(abs(v[0]) for v in vectors) * sum(abs(v[1]) for v in vectors) + 1)
-    )
     n = len(vectors) - 1
     size = 1 << n
     ux, uy, mom = [0] * size, [0] * size, [0] * size
@@ -117,28 +121,30 @@ def _subset_count(vectors, mu: Sequence[int]) -> RefinedPolynomial:
                 continue
             # C = (ma * u_b - mb * u_a) / det solves omega(u_a, C) = ma, omega(u_b, C) = mb
             cx, cy = ma * bx - mb * ax, ma * by - mb * ay
-            step = scale // det
-            weight = q_analog(abs(det))
+            if det < 0:
+                det, cx, cy = -det, -cx, -cy
+            weight = q_analog(det)
             for child, kx, ky in ((a, ax, ay), (b, bx, by)):
                 if child & (child - 1) == 0:
                     continue
-                keys, tails = table[child]
-                at = (kx * cx + ky * cy) * step
+                keys, tails, scale = table[child]
+                at, rem = divmod((kx * cx + ky * cy) * scale, det)
                 i = bisect_right(keys, at)
-                if i and keys[i - 1] == at:
+                if not rem and i and keys[i - 1] == at:
                     raise _DegenerateConfiguration(f"zero-length edge to {child}")
                 if i == len(keys):
                     break
                 weight = weight * tails[i]
             else:
-                entries.append((((ax + bx) * cx + (ay + by) * cy) * step, weight))
-        entries.sort(key=lambda e: e[0])
+                entries.append(((ax + bx) * cx + (ay + by) * cy, det, weight))
+        scale = math.lcm(*[det for _, det, _ in entries])
+        entries = sorted(((num * (scale // det), w) for num, det, w in entries), key=lambda e: e[0])
         tails = [None] * len(entries)
         acc = RefinedPolynomial.zero()
         for i in range(len(entries) - 1, -1, -1):
             acc = acc + entries[i][1]
             tails[i] = acc
-        table[s] = ([key for key, _ in entries], tails)
+        table[s] = ([key for key, _ in entries], tails, scale)
     tails = table[size - 1][1]
     return tails[0] if tails else RefinedPolynomial.zero()
 

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -370,3 +373,33 @@ def test_three_engines_agree_on_small_corpus():
 def test_oracle_agrees_with_recursion_beyond_tree_reach(spec):
     d = parse_degree(spec)
     assert oracle_invariant(d, seed=0) == refined_invariant(d, cache={}), spec
+
+
+def test_oracle_cost_stays_small_for_large_entries():
+    # sum|x| * sum|y| is about 4e6 on the first degree, but every det is 1, and
+    # the second has dets 1, 1001 and 1002; the keys' scale comes from the
+    # dets that occur, so both answer at once. Run apart so a regression
+    # fails on the timeout instead of hanging the suite.
+    code = (
+        "import time\n"
+        "from refined_chord import make_degree, oracle_invariant, refined_invariant\n"
+        "for vs in ([(1000, 999), (-1001, -1000), (1, 1)],\n"
+        "           [(1000, 999), (1, 1), (1, 2), (-1002, -1002)]):\n"
+        "    d = make_degree(vs)\n"
+        "    t0 = time.perf_counter()\n"
+        "    value = oracle_invariant(d, seed=0)\n"
+        "    print(time.perf_counter() - t0, value == refined_invariant(d, cache={}))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    for line in run.stdout.splitlines():
+        elapsed, agree = line.split()
+        assert agree == "True"
+        assert float(elapsed) < 5.0, line
