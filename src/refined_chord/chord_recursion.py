@@ -35,21 +35,27 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from math import comb, factorial, gcd
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from .lattice import Degree, Vec, make_degree, omega, vectors_key
-from .refined_poly import RefinedPolynomial, q_analog
+from .refined_poly import RefinedPolynomial
 
 Block = Tuple[Vec, ...]
+# (n, hi, e1): a polynomial packed into one int, see _chord_sum
+Packed = Tuple[int, int, int]
 
 _ONE = RefinedPolynomial.one()
 
-# suffix states stored per top-level call, about 0.7 KB each: P2:10 keeps
-# 201,138 (151 MB peak, 20 s). P2:11 is the first triangle degree to reach the
-# guard: 91 s and 190 MB peak, against 86 s and 326 MB with all 447,041 kept.
-# Clearing costs time, not values: P2:10 with the guard at 100,000 took 27 s.
+# initial slot width of packed values; _solve doubles it after an overflow
+_SLOT_BITS = 64
+
+# suffix states stored per top-level call, about 0.6 KB each: P2:10 keeps
+# 201,138 (125 MB peak, 6.9 s). P2:11 is the first triangle degree to reach the
+# guard: 25 s and 161 MB peak, against 21 s and 258 MB with all 447,041 kept.
+# Clearing costs time, not values.
 SUFFIX_MEMO_GUARD = 250_000
 
 
@@ -59,6 +65,10 @@ class DegenerateBlock(ValueError):
 
 class VectorNotInDegree(ValueError):
     """The requested chord ends cannot be removed from the degree."""
+
+
+class _SlotOverflow(Exception):
+    """A packed total reached its slot width, so a slot may have carried."""
 
 
 @dataclass(frozen=True)
@@ -280,54 +290,105 @@ def refined_invariant(
     sub-degrees still go through the cache. Entries are only ever written
     with a degree's final value, so sharing a cache across threads is safe:
     concurrent duplicate work can happen, concurrent wrong answers cannot.
+
+    A cached sub-degree value must be nonnegative, palindromic and of
+    uniform parity, as every computed value is; any other raises
+    ``ValueError`` naming its key. A top-level hit is returned as stored.
     """
     if cache is None:
         cache = {}
     if d.m == 2:
         return _ONE
-    memo: Dict[tuple, RefinedPolynomial] = {}
     if v1 is None and vm is None:
-        return _invariant(d.vectors, cache, memo)
+        return _invariant(d.vectors, cache)
     if v1 is None or vm is None:
         v1, vm = _default_ends(d.vectors, v1, vm)
-    # an explicit chord bypasses the top-level memo entry on purpose
-    return _chord_sum(d.vectors, v1, vm, cache, memo)
+    # an explicit chord bypasses the top-level cache entry on purpose
+    return _solve(d.vectors, v1, vm, cache)
 
 
-def _invariant(vectors: Tuple[Vec, ...], cache, memo=None) -> RefinedPolynomial:
+def _invariant(vectors: Tuple[Vec, ...], cache) -> RefinedPolynomial:
     if len(vectors) == 2:
         return _ONE
     key = vectors_key(vectors)
     hit = cache.get(key)
     if hit is not None:
         return hit
-    if memo is None:
-        memo = {}
-    v1, vm = _default_ends(vectors)
-    value = _chord_sum(vectors, v1, vm, cache, memo)
+    value = _solve(vectors, *_default_ends(vectors), cache)
     cache[key] = value
     return value
 
 
-def _group_families(pool, block_counts, r):
-    """Unordered families of ``r`` disjoint equal blocks drawn from ``pool``.
-
-    ``block_counts`` maps each vector of the block to its count; the result
-    is the exact integer ``prod_v C(pool_v, r*b_v) * (r*b_v)!/(b_v!^r)``
-    collapsed as a running product of binomials divided by r!.
-    """
-    ways = 1
-    remaining = dict(pool)
-    for _ in range(r):
-        for v, b in block_counts.items():
-            ways *= comb(remaining[v], b)
-            remaining[v] -= b
-        if ways == 0:
-            return 0
-    return ways // factorial(r)
+def _solve(vectors, v1, vm, cache) -> RefinedPolynomial:
+    """Run :func:`_chord_sum` with a fresh suffix memo, widening the slots
+    until no stored total can have carried."""
+    bits = _SLOT_BITS
+    while True:
+        try:
+            return _unpack(_chord_sum(vectors, v1, vm, cache, {}, bits), bits)
+        except _SlotOverflow:
+            bits *= 2
 
 
-def _chord_sum(vectors, v1, vm, cache, memo) -> RefinedPolynomial:
+def _pack(key: str, poly: RefinedPolynomial, bits: int) -> Packed:
+    """``poly`` in the packed form of :func:`_chord_sum`, or ``ValueError``
+    naming ``key`` when the form cannot hold it exactly."""
+    if not (
+        poly.is_palindromic()
+        and poly.uniform_parity()
+        and all(c > 0 for _, c in poly.items())
+    ):
+        raise ValueError(
+            f"cache entry {key!r} is not nonnegative, palindromic and of uniform parity"
+        )
+    if poly.is_zero():
+        return 0, 0, 0
+    hi = poly.support[0]
+    n = 0
+    for k, c in poly.items():
+        n += c << (bits * ((k + hi) >> 1))
+    return n, hi, poly.evaluate_at_one()
+
+
+def _unpack(packed: Packed, bits: int) -> RefinedPolynomial:
+    """The polynomial of a packed value whose coefficients fit their slots."""
+    n, hi, _ = packed
+    mask = (1 << bits) - 1
+    terms = {}
+    k = -hi
+    while n:
+        c = n & mask
+        if c:
+            terms[k] = c
+        n >>= bits
+        k += 2
+    return RefinedPolynomial(terms)
+
+
+# bounded: [a]_q packs into a * bits bits, and a grows with the entries
+@lru_cache(maxsize=1024)
+def _packed_q_analog(a: int, bits: int) -> Packed:
+    """``[a]_q`` for ``a > 0``: ``a`` unit slots, lowest exponent ``-(a - 1)``."""
+    return ((1 << bits * a) - 1) // ((1 << bits) - 1), a - 1, a
+
+
+def _packed_invariant(vectors, cache, memo, bits) -> Packed:
+    """Sub-degree lookup: ``cache`` is consulted every time, the packed form
+    is kept in ``memo``, and a solved value is written to ``cache`` once."""
+    key = vectors_key(vectors)
+    hit = cache.get(key)
+    packed = memo.get(key)
+    if packed is None:
+        if hit is None:
+            packed = _chord_sum(vectors, *_default_ends(vectors), cache, memo, bits)
+            cache[key] = _unpack(packed, bits)
+        else:
+            packed = _pack(key, hit, bits)
+        memo[key] = packed
+    return packed
+
+
+def _chord_sum(vectors, v1, vm, cache, memo, bits) -> Packed:
     """Sum the recursion over admissible decompositions of ``vectors``.
 
     Runs of identical blocks are chosen atomically (they share one sigma,
@@ -341,13 +402,36 @@ def _chord_sum(vectors, v1, vm, cache, memo) -> RefinedPolynomial:
     A state never depends on ``v1``: the degree sums to zero, so
     ``w = vm + sum(remaining pool)``. One ``memo`` therefore serves every
     sub-degree of a top-level call, keyed by ``vm`` and the state. It is
-    created by :func:`refined_invariant` and dropped when that call returns,
-    never stored in ``cache`` (which callers persist), and cleared whenever
-    it reaches ``SUFFIX_MEMO_GUARD`` states, which costs time but changes
-    no value. ``suffix_sum`` refers to itself through its closure cell, a
+    created by :func:`_solve` and dropped when that call returns, never
+    stored in ``cache`` (which callers persist), and cleared whenever it
+    reaches ``SUFFIX_MEMO_GUARD`` states, which costs time but changes no
+    value. ``suffix_sum`` refers to itself through its closure cell, a
     reference cycle that would keep the memo alive until the cyclic garbage
     collector runs; deleting the name on exit breaks the cycle, so reference
     counting frees the memo as soon as the call returns.
+
+    Values are packed: ``(n, hi, e1)`` stands for the polynomial whose
+    coefficient of ``q^((2j - hi)/2)`` is slot ``j`` of ``n`` (bits
+    ``j * bits`` to ``(j + 1) * bits - 1``), and ``e1`` is its exact value
+    at q = 1. Every value is palindromic of uniform parity, so ``-hi`` is
+    its lowest half-exponent and a product is ``(n1 * n2, hi1 + hi2,
+    e1 * e2)``. A sum shifts the summand of smaller ``hi`` up by
+    ``(hi - h) / 2`` slots. These are exact integer operations, but a slot
+    is only readable while it holds less than ``2**bits``. Every factor has
+    nonnegative coefficients, so each coefficient is at most ``e1``, and
+    ``e1 < 2**bits`` at every stored total proves no slot carried;
+    otherwise :class:`_SlotOverflow` makes :func:`_solve` retry with the
+    slots twice as wide. A summand whose ``e1`` is 0 (some sub-degree
+    invariants vanish) is skipped, since its ``hi`` means nothing and would
+    shift the sum; its tails are still summed, so ``cache`` sees the same
+    lookups as without packing. Sub-degree values enter through
+    :func:`_packed_invariant`; ``cache`` keeps only unpacked polynomials.
+
+    The weight of a run of ``r`` identical blocks, taking ``t_v`` of each
+    vector ``v`` from a pool of ``c_v``, is ``fam_r = fam_(r-1) * X_r / r``
+    with ``X_r = prod_v C(c_v - (r-1) t_v, t_v)`` and ``fam_0 = 1``. The
+    division is exact because ``fam_(r-1) * X_r`` counts ordered choices of
+    the ``r``-th block after an unordered ``r - 1``, which is ``r * fam_r``.
 
     Candidate blocks are streamed as per-vector take counts with the block
     size ``n`` and ``u`` kept as running sums, and rejected in this order,
@@ -370,7 +454,7 @@ def _chord_sum(vectors, v1, vm, cache, memo) -> RefinedPolynomial:
         counts = [c for _, c in pool_items]
         k = len(counts)
         w0, w1 = w
-        summands = []
+        acc = hi = e1 = 0
         takes = [0] * k
         n = ux = uy = 0
         while True:
@@ -405,20 +489,28 @@ def _chord_sum(vectors, v1, vm, cache, memo) -> RefinedPolynomial:
                     block += (v,) * t
             if cross == 0 and block <= prev_key:
                 continue
-            factor = q_analog(abs(sigma))
+            fn, fh, fe = _packed_q_analog(abs(sigma), bits)
             if n > 1:
                 closed = block + ((ux, uy),)
                 assert len(closed) < total_len
-                factor = factor * _invariant(tuple(sorted(closed)), cache, memo)
-            block_counts = {v: t for v, t in zip(vecs, takes) if t}
-            max_r = min(c // t for c, t in zip(counts, takes) if t)
+                sn, sh, se = _packed_invariant(tuple(sorted(closed)), cache, memo, bits)
+                fn *= sn
+                fh += sh
+                fe *= se
+            taken = [(c, t) for c, t in zip(counts, takes) if t]
+            max_r = min(c // t for c, t in taken)
             su_dir = _primitive((sigma * ux, sigma * uy))
             # identical blocks repeat with the same sigma; take r at once
-            term = factor
+            tn, th, te = fn, fh, fe
+            fam = 1
             for r in range(1, max_r + 1):
                 if r > 1:
-                    term = term * factor
-                fam = _group_families(pool_items, block_counts, r)
+                    tn *= fn
+                    th += fh
+                    te *= fe
+                for c, t in taken:
+                    fam *= comb(c - (r - 1) * t, t)
+                fam //= r
                 rest = tuple(
                     (v, c - r * t)
                     for v, c, t in zip(vecs, counts, takes)
@@ -426,12 +518,26 @@ def _chord_sum(vectors, v1, vm, cache, memo) -> RefinedPolynomial:
                 )
                 w_next = (w0 + r * ux, w1 + r * uy)
                 if rest:
-                    tail = suffix_sum(rest, w_next, su_dir, block)
+                    xn, xh, xe = suffix_sum(rest, w_next, su_dir, block)
+                    sn, sh, se = fam * tn * xn, th + xh, fam * te * xe
                 else:
                     assert w_next == vm
-                    tail = None
-                summands.append((fam, term, tail))
-        total = RefinedPolynomial.sum_of_products(summands)
+                    sn, sh, se = fam * tn, th, fam * te
+                if not se:
+                    continue  # a vanishing summand's hi means nothing
+                if not e1:
+                    acc, hi, e1 = sn, sh, se
+                    continue
+                assert (hi - sh) % 2 == 0
+                if sh <= hi:
+                    acc += sn << (bits * ((hi - sh) >> 1))
+                else:
+                    acc = (acc << (bits * ((sh - hi) >> 1))) + sn
+                    hi = sh
+                e1 += se
+        if e1 >> bits:
+            raise _SlotOverflow
+        total = (acc, hi, e1)
         if len(memo) >= SUFFIX_MEMO_GUARD:
             memo.clear()
         memo[state] = total

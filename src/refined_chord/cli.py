@@ -37,7 +37,7 @@ from .refined_poly import RefinedPolynomial
 
 CACHE_ENV = "REFINED_CHORD_CACHE"
 CACHE_VERSION = 1
-TABLE_DEGREE_GUARD = 6
+TABLE_DEGREE_GUARD = 8
 
 
 class ParseError(ValueError):

@@ -9,6 +9,7 @@ from refined_chord import (
     DegenerateBlock,
     RefinedPolynomial,
     VectorNotInDegree,
+    canonical_key,
     canonical_representative,
     cp2_degree,
     enumerate_decompositions,
@@ -217,6 +218,58 @@ def test_suffix_memo_guard_changes_no_value(monkeypatch):
     monkeypatch.setattr(chord_recursion, "SUFFIX_MEMO_GUARD", 1)
     for name, d in CORPUS:
         assert refined_invariant(d, cache={}) == pinned[name], name
+
+
+def test_narrow_slots_change_no_value(monkeypatch):
+    # 2-bit slots overflow once a value at q = 1 reaches 4, as in seven
+    # CORPUS degrees (P2:3:3 is 18), so those values come from the retries
+    pinned = {name: oracle_invariant(d, seed=0) for name, d in CORPUS}
+    monkeypatch.setattr(chord_recursion, "_SLOT_BITS", 2)
+    for name, d in CORPUS:
+        assert refined_invariant(d, cache={}) == pinned[name], name
+
+
+@st.composite
+def packable_polys(draw):
+    # nonnegative, palindromic, one exponent parity; all-zero lists give 0
+    parity = draw(st.integers(0, 1))
+    coeffs = draw(st.lists(st.integers(0, 2**70), max_size=6))
+    terms = {}
+    for i, c in enumerate(coeffs):
+        terms[2 * i + parity] = terms[-(2 * i + parity)] = c
+    return P(terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(packable_polys(), packable_polys())
+def test_packed_product_matches_operator(a, b):
+    # the narrowest slots the q = 1 bound allows for a, b and their product
+    ea, eb = a.evaluate_at_one(), b.evaluate_at_one()
+    bits = max(1, ea.bit_length(), eb.bit_length(), (ea * eb).bit_length())
+    pa = chord_recursion._pack("a", a, bits)
+    pb = chord_recursion._pack("b", b, bits)
+    assert chord_recursion._unpack(pa, bits) == a
+    assert chord_recursion._unpack(pb, bits) == b
+    product = (pa[0] * pb[0], pa[1] + pb[1], pa[2] * pb[2])
+    assert product[2] == (a * b).evaluate_at_one()
+    assert chord_recursion._unpack(product, bits) == a * b
+
+
+# mixed parity is checked end to end in test_cli.py
+@pytest.mark.parametrize(
+    "terms",
+    [{2: 1, 0: -1, -2: 1}, {2: 1, 0: 3}],
+    ids=["negative", "not-palindromic"],
+)
+def test_pack_refuses_unpackable_value(terms):
+    with pytest.raises(ValueError, match="some-key"):
+        chord_recursion._pack("some-key", P(terms), 64)
+
+
+def test_top_level_cache_hit_is_returned_as_stored():
+    d = cp2_degree(4, [1] * 4)
+    cache = {canonical_key(d): refined_invariant(d, cache={})}
+    assert refined_invariant(d, cache=cache) is cache[canonical_key(d)]
 
 
 def test_generator_sum_matches_fast_engine():

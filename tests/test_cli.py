@@ -150,7 +150,7 @@ def test_table_degree_three(capsys):
 
 
 def test_table_guard(capsys):
-    assert main(["table", "--max-degree", "7"]) == 2
+    assert main(["table", "--max-degree", "9"]) == 2
     assert "guard" in capsys.readouterr().err
 
 
@@ -211,6 +211,18 @@ def test_compute_cache_hit_leaves_file_alone(tmp_path, capsys):
     assert main(["compute", "P2:3", "--cache-path", str(path)]) == 0
     assert os.stat(path).st_ino == inode
     assert capsys.readouterr().out.splitlines() == ["q + 7 + q^-1"] * 2
+
+
+def test_compute_refuses_unpackable_cached_subdegree(tmp_path, capsys):
+    # mixed parity would merge slots of the packed recursion; load_cache
+    # accepts the file, and the entry is refused where it is used
+    path = tmp_path / "memo.jsonl"
+    key = "(-1,0);(0,-1);(1,1)"
+    save_cache(str(path), {key: RefinedPolynomial({1: 1, 0: 1, -1: 1})})
+    before = path.read_bytes()
+    assert main(["compute", "P2:3", "--cache-path", str(path)]) == 2
+    assert key in capsys.readouterr().err
+    assert path.read_bytes() == before
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
