@@ -423,8 +423,8 @@ def _chord_sum(vectors, v1, vm, cache, memo, bits) -> Packed:
     otherwise :class:`_SlotOverflow` makes :func:`_solve` retry with the
     slots twice as wide. A summand whose ``e1`` is 0 (some sub-degree
     invariants vanish) is skipped, since its ``hi`` means nothing and would
-    shift the sum; its tails are still summed, so ``cache`` sees the same
-    lookups as without packing. Sub-degree values enter through
+    shift the sum; a block whose own sub-degree invariant vanishes is skipped
+    before its tails are summed. Sub-degree values enter through
     :func:`_packed_invariant`; ``cache`` keeps only unpacked polynomials.
 
     The weight of a run of ``r`` identical blocks, taking ``t_v`` of each
@@ -494,6 +494,8 @@ def _chord_sum(vectors, v1, vm, cache, memo, bits) -> Packed:
                 closed = block + ((ux, uy),)
                 assert len(closed) < total_len
                 sn, sh, se = _packed_invariant(tuple(sorted(closed)), cache, memo, bits)
+                if not se:
+                    continue  # every summand of this block vanishes
                 fn *= sn
                 fh += sh
                 fe *= se

@@ -23,6 +23,7 @@ import os
 import re
 import sys
 from itertools import groupby
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .chord_recursion import refined_invariant
@@ -50,7 +51,11 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-class CacheVersionError(ValueError):
+class CacheFormatError(ValueError):
+    """The cache file is not in the cache format; names the file and line."""
+
+
+class CacheVersionError(CacheFormatError):
     """The cache file announces a format version this build cannot read."""
 
 
@@ -158,24 +163,68 @@ def render_degree(d: Degree) -> str:
 
 def load_cache(path: str) -> Dict[str, RefinedPolynomial]:
     """Read a JSON-lines cache file: a version header, then one entry per
-    line. Unknown versions are rejected rather than guessed at."""
-    cache: Dict[str, RefinedPolynomial] = {}
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().strip()
-        if not first:
-            return cache
-        header = json.loads(first)
-        if header.get("version") != CACHE_VERSION:
-            raise CacheVersionError(
-                f"cache version {header.get('version')!r} unsupported (want {CACHE_VERSION})"
-            )
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            entry = json.loads(line)
-            cache[entry["key"]] = RefinedPolynomial.from_json_dict(entry["poly"])
-    return cache
+    line; blank lines are skipped. Unknown versions are rejected rather than
+    guessed at, and anything else that is not this format raises
+    :class:`CacheFormatError` naming the file and, where it can, the line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise CacheFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if not text.strip():
+        return {}
+    header_line, *lines = text.split("\n")
+    try:
+        header = json.loads(header_line)
+        version = header["version"]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise CacheFormatError(
+            f"{path}: line 1 is not a cache header ({_describe(exc)})"
+        ) from None
+    if version != CACHE_VERSION:
+        raise CacheVersionError(
+            f"{path}: cache version {version!r} unsupported (want {CACHE_VERSION})"
+        )
+    try:
+        return _decode_entries(list(filter(str.strip, lines)))
+    except _ENTRY_ERRORS as exc:
+        bulk_error = exc
+    # locate the first bad line; each line alone is decoded as in bulk
+    for number, line in enumerate(lines, start=2):
+        if line.strip():
+            try:
+                _decode_entries([line])
+            except _ENTRY_ERRORS as exc:
+                raise CacheFormatError(
+                    f"{path}: line {number} is not a cache entry ({_describe(exc)})"
+                ) from None
+    raise CacheFormatError(f"{path}: {_describe(bulk_error)}") from None
+
+
+# what a malformed entry line raises in _decode_entries
+_ENTRY_ERRORS = (ValueError, TypeError, KeyError, AttributeError)
+
+
+def _decode_entries(lines: List[str]) -> Dict[str, RefinedPolynomial]:
+    """Decode entry lines in one ``json.loads`` pass: each line must hold
+    one ``{"key": ..., "poly": ...}`` object. A torn line leaves a string or
+    an object open and fails to parse; a line holding two values makes one
+    entry too many, which the count against the lines catches."""
+    entries = json.loads("[" + ",".join(lines) + "]")
+    if len(entries) != len(lines):
+        raise ValueError(f"{len(entries)} values on {len(lines)} lines")
+    return dict(zip(
+        map(itemgetter("key"), entries),
+        map(RefinedPolynomial.from_json_dict, map(itemgetter("poly"), entries)),
+    ))
+
+
+def _describe(exc: Exception) -> str:
+    if isinstance(exc, json.JSONDecodeError):
+        return f"invalid JSON: {exc.msg}"
+    if isinstance(exc, KeyError):
+        return f"missing {exc}"
+    return f"{type(exc).__name__}: {exc}"
 
 
 def save_cache(path: str, cache: Dict[str, RefinedPolynomial]) -> None:
@@ -331,7 +380,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except (TooLarge, GenericityFailure, ValueError) as exc:
-        # ParseError, degree validation, cache version and guard failures
+        # ParseError, degree validation, cache file and guard failures
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -221,7 +221,11 @@ class RefinedPolynomial:
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, str]) -> "RefinedPolynomial":
-        return cls({int(k): int(c) for k, c in data.items()})
+        """Inverse of :meth:`to_json_dict`; zero coefficients are dropped."""
+        terms = dict(zip(map(int, data), map(int, data.values())))
+        if 0 in terms.values():
+            terms = {k: c for k, c in terms.items() if c}
+        return cls._adopt(terms)
 
     def __repr__(self):
         return f"RefinedPolynomial({self.to_text()!r})"

@@ -6,6 +6,7 @@ import pytest
 from refined_chord import NonZeroSum, RefinedPolynomial, cp2_degree, make_degree
 from refined_chord.cli import (
     CACHE_ENV,
+    CacheFormatError,
     CacheVersionError,
     ParseError,
     load_cache,
@@ -185,6 +186,107 @@ def test_cache_save_failure_keeps_old_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["memo.jsonl"]
 
 
+# the bytes save_cache wrote before the loader was rewritten; a faster
+# writer must not drift from them
+GOLDEN_CACHE = (
+    '{"version": 1}\n'
+    '{"key": "(-1,0);(-1,0);(-1,0);(0,-1);(0,-1);(0,-1);(1,1);(1,1);(1,1)", '
+    '"poly": {"2": "1", "0": "7", "-2": "1"}}\n'
+    '{"key": "(-2,0);(0,-2);(2,2)", '
+    '"poly": {"3": "1", "1": "1", "-1": "1", "-3": "1"}}\n'
+    '{"key": "big", "poly": {"3": "1000000000000000000000000000000", '
+    '"-3": "-1000000000000000000000000000000"}}\n'
+)
+GOLDEN_ENTRIES = {
+    "(-1,0);(-1,0);(-1,0);(0,-1);(0,-1);(0,-1);(1,1);(1,1);(1,1)":
+        RefinedPolynomial({2: 1, 0: 7, -2: 1}),
+    "(-2,0);(0,-2);(2,2)": RefinedPolynomial({3: 1, 1: 1, -1: 1, -3: 1}),
+    "big": RefinedPolynomial({3: 10**30, -3: -(10**30)}),
+}
+
+
+def test_cache_golden_bytes(tmp_path):
+    path = tmp_path / "memo.jsonl"
+    save_cache(str(path), dict(reversed(GOLDEN_ENTRIES.items())))
+    assert path.read_bytes() == GOLDEN_CACHE.encode("utf-8")
+    assert load_cache(str(path)) == GOLDEN_ENTRIES
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: text.replace("\n", "\n\n  \n"),  # blank lines
+        lambda text: text.replace("\n", "  \n"),  # trailing spaces
+        lambda text: text.replace("\n", "\r\n"),  # CRLF line endings
+        lambda text: text.rstrip("\n"),  # no final newline
+    ],
+    ids=["blank-lines", "trailing-spaces", "crlf", "no-final-newline"],
+)
+def test_cache_loader_tolerates_whitespace(tmp_path, edit):
+    path = tmp_path / "memo.jsonl"
+    path.write_bytes(edit(GOLDEN_CACHE).encode("utf-8"))
+    assert load_cache(str(path)) == GOLDEN_ENTRIES
+
+
+def test_cache_loader_empty_file(tmp_path):
+    path = tmp_path / "memo.jsonl"
+    path.write_text("")
+    assert load_cache(str(path)) == {}
+    path.write_text('{"version": 1}\n')
+    assert load_cache(str(path)) == {}
+
+
+_ENTRY = '{"key": "(-1,0);(0,-1);(1,1)", "poly": {"0": "1"}}'
+_OTHER = '{"key": "(-2,0);(0,-2);(2,2)", "poly": {"1": "1", "-1": "1"}}'
+
+MALFORMED_CACHES = {
+    # name: (file contents, number of the line named in the error)
+    "array-entry": ('{"version": 1}\n[1, 2]\n', 2),
+    "no-poly": ('{"version": 1}\n' + _ENTRY + '\n{"key": "k"}\n', 3),
+    "no-key": ('{"version": 1}\n{"poly": {"0": "1"}}\n', 2),
+    "poly-not-object": ('{"version": 1}\n{"key": "k", "poly": [1]}\n', 2),
+    "array-header": ('[1]\n' + _ENTRY + '\n', 1),
+    "no-version": ('{}\n' + _ENTRY + '\n', 1),
+    "blank-header": ('\n{"version": 1}\n' + _ENTRY + '\n', 1),
+    "two-entries": ('{"version": 1}\n' + _ENTRY + ", " + _OTHER + "\n", 2),
+    "entry-over-two-lines": (
+        '{"version": 1}\n' + _ENTRY[:-2] + "\n" + _ENTRY[-2:] + "\n", 2
+    ),
+    "torn-last-line": ('{"version": 1}\n' + _ENTRY + "\n" + _OTHER[:30], 3),
+    "non-integer-coefficient": (
+        '{"version": 1}\n\n{"key": "k", "poly": {"0": "1.5"}}\n', 3
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CACHES))
+def test_cache_loader_rejects_malformed_line(tmp_path, name):
+    text, line = MALFORMED_CACHES[name]
+    path = tmp_path / "memo.jsonl"
+    path.write_text(text)
+    with pytest.raises(CacheFormatError, match=f"line {line} "):
+        load_cache(str(path))
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CACHES))
+def test_compute_malformed_cache_exits_2(tmp_path, capsys, name):
+    text, line = MALFORMED_CACHES[name]
+    path = tmp_path / "memo.jsonl"
+    path.write_text(text)
+    assert main(["compute", "P2:2", "--cache-path", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line {line} ")
+    assert "Traceback" not in err
+    assert path.read_text() == text
+
+
+def test_compute_non_utf8_cache_exits_2(tmp_path, capsys):
+    path = tmp_path / "memo.jsonl"
+    path.write_bytes(b'{"version": 1}\n\xff\n')
+    assert main(["compute", "P2:2", "--cache-path", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
 def test_cache_version_rejected(tmp_path):
     path = tmp_path / "memo.jsonl"
     path.write_text('{"version": 99}\n')
@@ -238,7 +340,8 @@ def test_cache_corrupt_version_exit_code(tmp_path, capsys):
     path = tmp_path / "memo.jsonl"
     path.write_text('{"version": 99}\n')
     assert main(["compute", "P2:2", "--cache-path", str(path)]) == 2
-    assert "cache version" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "cache version" in err and str(path) in err
 
 
 def test_oracle_command(capsys):

@@ -185,6 +185,13 @@ def test_json_round_trip():
     assert P.from_json_dict(big.to_json_dict()) == big
 
 
+def test_from_json_dict_drops_zero_coefficients():
+    p = P.from_json_dict({"2": "0", "0": "5", "-2": "-0"})
+    assert p == P({0: 5})
+    assert dict(p.items()) == {0: 5}
+    assert P.from_json_dict({"1": "0"}).is_zero()
+
+
 def test_integer_coercion():
     p = half(2) + half(-2)
     assert p * 3 == P({2: 3, -2: 3})
