@@ -35,22 +35,24 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from math import comb, factorial, gcd
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from .lattice import Degree, Vec, make_degree, omega, vectors_key
-from .refined_poly import RefinedPolynomial
+from .refined_poly import (
+    Packed,
+    RefinedPolynomial,
+    _pack,
+    _packed_q_analog,
+    _SlotOverflow,
+    _unpack,
+    _widening,
+)
 
 Block = Tuple[Vec, ...]
-# (n, hi, e1): a polynomial packed into one int, see _chord_sum
-Packed = Tuple[int, int, int]
 
 _ONE = RefinedPolynomial.one()
-
-# initial slot width of packed values; _solve doubles it after an overflow
-_SLOT_BITS = 64
 
 # suffix states stored per top-level call, about 0.6 KB each: P2:10 keeps
 # 201,138 (125 MB peak, 6.9 s). P2:11 is the first triangle degree to reach the
@@ -65,10 +67,6 @@ class DegenerateBlock(ValueError):
 
 class VectorNotInDegree(ValueError):
     """The requested chord ends cannot be removed from the degree."""
-
-
-class _SlotOverflow(Exception):
-    """A packed total reached its slot width, so a slot may have carried."""
 
 
 @dataclass(frozen=True)
@@ -320,71 +318,29 @@ def _invariant(vectors: Tuple[Vec, ...], cache) -> RefinedPolynomial:
 
 
 def _solve(vectors, v1, vm, cache) -> RefinedPolynomial:
-    """Run :func:`_chord_sum` with a fresh suffix memo, widening the slots
-    until no stored total can have carried."""
-    bits = _SLOT_BITS
-    while True:
-        try:
-            return _unpack(_chord_sum(vectors, v1, vm, cache, {}, bits), bits)
-        except _SlotOverflow:
-            bits *= 2
-
-
-def _pack(key: str, poly: RefinedPolynomial, bits: int) -> Packed:
-    """``poly`` in the packed form of :func:`_chord_sum`, or ``ValueError``
-    naming ``key`` when the form cannot hold it exactly."""
-    if not (
-        poly.is_palindromic()
-        and poly.uniform_parity()
-        and all(c > 0 for _, c in poly.items())
-    ):
-        raise ValueError(
-            f"cache entry {key!r} is not nonnegative, palindromic and of uniform parity"
-        )
-    if poly.is_zero():
-        return 0, 0, 0
-    hi = poly.support[0]
-    n = 0
-    for k, c in poly.items():
-        n += c << (bits * ((k + hi) >> 1))
-    return n, hi, poly.evaluate_at_one()
-
-
-def _unpack(packed: Packed, bits: int) -> RefinedPolynomial:
-    """The polynomial of a packed value whose coefficients fit their slots."""
-    n, hi, _ = packed
-    mask = (1 << bits) - 1
-    terms = {}
-    k = -hi
-    while n:
-        c = n & mask
-        if c:
-            terms[k] = c
-        n >>= bits
-        k += 2
-    return RefinedPolynomial(terms)
-
-
-# bounded: [a]_q packs into a * bits bits, and a grows with the entries
-@lru_cache(maxsize=1024)
-def _packed_q_analog(a: int, bits: int) -> Packed:
-    """``[a]_q`` for ``a > 0``: ``a`` unit slots, lowest exponent ``-(a - 1)``."""
-    return ((1 << bits * a) - 1) // ((1 << bits) - 1), a - 1, a
+    """Run :func:`_chord_sum` with a fresh suffix memo at each slot width."""
+    return _widening(lambda bits: _chord_sum(vectors, v1, vm, cache, {}, bits))
 
 
 def _packed_invariant(vectors, cache, memo, bits) -> Packed:
-    """Sub-degree lookup: ``cache`` is consulted every time, the packed form
-    is kept in ``memo``, and a solved value is written to ``cache`` once."""
-    key = vectors_key(vectors)
-    hit = cache.get(key)
-    packed = memo.get(key)
+    """Sub-degree lookup for the sorted tuple ``vectors``.
+
+    The packed form is kept in ``memo`` under ``vectors`` itself; only on a
+    miss is the string key built and ``cache`` consulted, and a solved value
+    is written to ``cache`` once. The key cannot equal a suffix state of
+    :func:`_chord_sum`: a state's second item is a nonempty tuple of
+    ``(vector, count)`` pairs, where this key has a vector of two ints.
+    """
+    packed = memo.get(vectors)
     if packed is None:
+        key = vectors_key(vectors)
+        hit = cache.get(key)
         if hit is None:
             packed = _chord_sum(vectors, *_default_ends(vectors), cache, memo, bits)
             cache[key] = _unpack(packed, bits)
         else:
             packed = _pack(key, hit, bits)
-        memo[key] = packed
+        memo[vectors] = packed
     return packed
 
 
@@ -410,21 +366,15 @@ def _chord_sum(vectors, v1, vm, cache, memo, bits) -> Packed:
     collector runs; deleting the name on exit breaks the cycle, so reference
     counting frees the memo as soon as the call returns.
 
-    Values are packed: ``(n, hi, e1)`` stands for the polynomial whose
-    coefficient of ``q^((2j - hi)/2)`` is slot ``j`` of ``n`` (bits
-    ``j * bits`` to ``(j + 1) * bits - 1``), and ``e1`` is its exact value
-    at q = 1. Every value is palindromic of uniform parity, so ``-hi`` is
-    its lowest half-exponent and a product is ``(n1 * n2, hi1 + hi2,
-    e1 * e2)``. A sum shifts the summand of smaller ``hi`` up by
-    ``(hi - h) / 2`` slots. These are exact integer operations, but a slot
-    is only readable while it holds less than ``2**bits``. Every factor has
-    nonnegative coefficients, so each coefficient is at most ``e1``, and
-    ``e1 < 2**bits`` at every stored total proves no slot carried;
-    otherwise :class:`_SlotOverflow` makes :func:`_solve` retry with the
-    slots twice as wide. A summand whose ``e1`` is 0 (some sub-degree
-    invariants vanish) is skipped, since its ``hi`` means nothing and would
-    shift the sum; a block whose own sub-degree invariant vanishes is skipped
-    before its tails are summed. Sub-degree values enter through
+    Values are packed as ``(n, hi, e1)``, one int of coefficient slots with
+    the highest half-exponent and the exact value at q = 1 (see
+    :mod:`refined_chord.refined_poly`): a product is one bigint multiply and
+    a sum a shift-add. ``e1 < 2**bits`` at every stored total proves that no
+    slot carried; otherwise :class:`_SlotOverflow` makes :func:`_solve`
+    retry with the slots twice as wide. A summand whose ``e1`` is 0 (some
+    sub-degree invariants vanish) is skipped, since its ``hi`` means nothing
+    and would shift the sum; a block whose own sub-degree invariant vanishes
+    is skipped before its tails are summed. Sub-degree values enter through
     :func:`_packed_invariant`; ``cache`` keeps only unpacked polynomials.
 
     The weight of a run of ``r`` identical blocks, taking ``t_v`` of each

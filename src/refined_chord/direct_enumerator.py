@@ -33,12 +33,12 @@ from bisect import bisect_right
 from typing import Sequence, Tuple
 
 from .lattice import Degree
-from .refined_poly import RefinedPolynomial, q_analog
+from .refined_poly import Packed, RefinedPolynomial, _packed_q_analog, _SlotOverflow, _widening
 
-# 2**(m-1) subsets and about 3**(m-1)/2 splits: P2:5 (15 ends) takes about 8 s
-# and 110 MB. Large entries cost too, through the polynomial degree of the
-# weights: ((-9,2),(2,-9),(7,7))*4 (12 ends) takes minutes. The guard bounds
-# only the number of ends.
+# 2**(m-1) subsets and about 3**(m-1)/2 splits: P2:5 (15 ends) takes about
+# 4.5 s and 56 MB. Large entries cost too, through the polynomial degree of the
+# weights: ((-9,2),(2,-9),(7,7))*4 (12 ends) takes about 14 s and 91 MB. The
+# guard bounds only the number of ends.
 ORACLE_END_GUARD = 14
 
 
@@ -88,7 +88,24 @@ def _subset_count(vectors, mu: Sequence[int]) -> RefinedPolynomial:
     ``p * scale``. The scale has at most one factor per split of ``S``, so
     its size grows with the number of ends and only logarithmically with the
     size of the entries.
+
+    Weights are packed (see :mod:`refined_chord.refined_poly`): a vertex
+    weight ``[det]_q`` is a packed q-analog, each child factor one bigint
+    multiply, and a suffix tail a shift-add; only the answer is unpacked.
+    The shift ``(hi - h) / 2`` is a whole number of slots because all curves
+    on ``S`` share one exponent parity. A curve's ``hi`` is
+    ``sum_v (|omega(u_A, u_B)| - 1)`` over its ``|S| - 1`` vertices, and
+    ``omega`` is bilinear, so ``sum_v omega(u_A, u_B)`` is
+    ``sum_(i<j in S) omega(v_i, v_j)`` up to signs, every pair of ends being
+    split at exactly one vertex; mod 2 the signs do not matter. All
+    coefficients are nonnegative, so the tail at the first key of ``S``
+    bounds every coefficient of every tail and weight of ``S``, and its value
+    at q = 1 is checked against the slot width once per subset.
     """
+    return _widening(lambda bits: _packed_count(vectors, mu, bits))
+
+
+def _packed_count(vectors, mu: Sequence[int], bits: int) -> Packed:
     n = len(vectors) - 1
     size = 1 << n
     ux, uy, mom = [0] * size, [0] * size, [0] * size
@@ -123,7 +140,7 @@ def _subset_count(vectors, mu: Sequence[int]) -> RefinedPolynomial:
             cx, cy = ma * bx - mb * ax, ma * by - mb * ay
             if det < 0:
                 det, cx, cy = -det, -cx, -cy
-            weight = q_analog(det)
+            wn, wh, we = _packed_q_analog(det, bits)
             for child, kx, ky in ((a, ax, ay), (b, bx, by)):
                 if child & (child - 1) == 0:
                     continue
@@ -134,19 +151,34 @@ def _subset_count(vectors, mu: Sequence[int]) -> RefinedPolynomial:
                     raise _DegenerateConfiguration(f"zero-length edge to {child}")
                 if i == len(keys):
                     break
-                weight = weight * tails[i]
+                tn, th, te = tails[i]
+                wn *= tn
+                wh += th
+                we *= te
             else:
-                entries.append(((ax + bx) * cx + (ay + by) * cy, det, weight))
+                entries.append(((ax + bx) * cx + (ay + by) * cy, det, (wn, wh, we)))
         scale = math.lcm(*[det for _, det, _ in entries])
         entries = sorted(((num * (scale // det), w) for num, det, w in entries), key=lambda e: e[0])
         tails = [None] * len(entries)
-        acc = RefinedPolynomial.zero()
+        acc = hi = e1 = 0
         for i in range(len(entries) - 1, -1, -1):
-            acc = acc + entries[i][1]
-            tails[i] = acc
+            wn, wh, we = entries[i][1]
+            if not e1:
+                acc, hi, e1 = wn, wh, we
+            else:
+                assert (hi - wh) % 2 == 0
+                if wh <= hi:
+                    acc += wn << (bits * ((hi - wh) >> 1))
+                else:
+                    acc = (acc << (bits * ((wh - hi) >> 1))) + wn
+                    hi = wh
+                e1 += we
+            tails[i] = (acc, hi, e1)
+        if e1 >> bits:
+            raise _SlotOverflow
         table[s] = ([key for key, _ in entries], tails, scale)
     tails = table[size - 1][1]
-    return tails[0] if tails else RefinedPolynomial.zero()
+    return tails[0] if tails else (0, 0, 0)
 
 
 def oracle_invariant(d: Degree, seed: int = 0, max_ends: int = ORACLE_END_GUARD) -> RefinedPolynomial:

@@ -6,11 +6,16 @@ map from the half-exponent ``k`` (meaning the term ``q^(k/2)``) to its
 coefficient; zero coefficients are never stored, so two polynomials are
 equal exactly when their term maps are. Coefficients are Python integers,
 hence exact at any size.
+
+Both engines compute on a packed form instead, one Python int per value
+(Kronecker substitution); the helpers at the end of this module convert
+between the two and are the only definition of that form.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 
 class BadArity(ValueError):
@@ -273,3 +278,79 @@ def mikhalkin_normalization(p: RefinedPolynomial, m: int) -> RefinedPolynomial:
     if m < 2:
         raise BadArity(f"need m >= 2 ends, got {m}")
     return p * RefinedPolynomial({1: 1, -1: -1}) ** (m - 2)
+
+
+# -- packed values (Kronecker substitution) -------------------------------
+#
+# Both engines do their arithmetic on packed values. ``(n, hi, e1)`` stands
+# for the polynomial whose coefficient of ``q^((2j - hi)/2)`` is slot ``j``
+# of ``n`` (bits ``j * bits`` to ``(j + 1) * bits - 1``), and ``e1`` is its
+# exact value at q = 1. Every packed value is palindromic of uniform parity
+# with nonnegative coefficients, so ``-hi`` is its lowest half-exponent, a
+# product is ``(n1 * n2, hi1 + hi2, e1 * e2)`` and a sum shifts the summand
+# of smaller ``hi`` up by ``(hi - h) / 2`` slots. Each coefficient is at most
+# ``e1``, so ``e1 < 2**bits`` at a stored total proves that no slot carried;
+# otherwise the engine raises :class:`_SlotOverflow` and :func:`_widening`
+# redoes the count with slots twice as wide.
+
+Packed = Tuple[int, int, int]
+
+# initial slot width of packed values; _widening doubles it after an overflow
+_SLOT_BITS = 64
+
+
+class _SlotOverflow(Exception):
+    """A packed total reached its slot width, so a slot may have carried."""
+
+
+def _widening(count: Callable[[int], Packed]) -> RefinedPolynomial:
+    """``count(bits)`` unpacked, with ``bits`` starting at ``_SLOT_BITS`` and
+    doubled after every :class:`_SlotOverflow`."""
+    bits = _SLOT_BITS
+    while True:
+        try:
+            return _unpack(count(bits), bits)
+        except _SlotOverflow:
+            bits *= 2
+
+
+def _pack(key: str, poly: RefinedPolynomial, bits: int) -> Packed:
+    """``poly`` in packed form, or ``ValueError`` naming ``key`` when the
+    form cannot hold it exactly."""
+    if not (
+        poly.is_palindromic()
+        and poly.uniform_parity()
+        and all(c > 0 for _, c in poly.items())
+    ):
+        raise ValueError(
+            f"cache entry {key!r} is not nonnegative, palindromic and of uniform parity"
+        )
+    if poly.is_zero():
+        return 0, 0, 0
+    hi = poly.support[0]
+    n = 0
+    for k, c in poly.items():
+        n += c << (bits * ((k + hi) >> 1))
+    return n, hi, poly.evaluate_at_one()
+
+
+def _unpack(packed: Packed, bits: int) -> RefinedPolynomial:
+    """The polynomial of a packed value whose coefficients fit their slots."""
+    n, hi, _ = packed
+    mask = (1 << bits) - 1
+    terms = {}
+    k = -hi
+    while n:
+        c = n & mask
+        if c:
+            terms[k] = c
+        n >>= bits
+        k += 2
+    return RefinedPolynomial(terms)
+
+
+# bounded: [a]_q packs into a * bits bits, and a grows with the entries
+@lru_cache(maxsize=1024)
+def _packed_q_analog(a: int, bits: int) -> Packed:
+    """``[a]_q`` for ``a > 0``: ``a`` unit slots, lowest exponent ``-(a - 1)``."""
+    return ((1 << bits * a) - 1) // ((1 << bits) - 1), a - 1, a

@@ -20,7 +20,7 @@ from refined_chord import (
     refined_invariant,
     sub_degree,
 )
-from refined_chord import chord_recursion
+from refined_chord import chord_recursion, refined_poly
 from conftest import CORPUS
 
 P = RefinedPolynomial
@@ -224,7 +224,7 @@ def test_narrow_slots_change_no_value(monkeypatch):
     # 2-bit slots overflow once a value at q = 1 reaches 4, as in seven
     # CORPUS degrees (P2:3:3 is 18), so those values come from the retries
     pinned = {name: oracle_invariant(d, seed=0) for name, d in CORPUS}
-    monkeypatch.setattr(chord_recursion, "_SLOT_BITS", 2)
+    monkeypatch.setattr(refined_poly, "_SLOT_BITS", 2)
     for name, d in CORPUS:
         assert refined_invariant(d, cache={}) == pinned[name], name
 
@@ -246,13 +246,13 @@ def test_packed_product_matches_operator(a, b):
     # the narrowest slots the q = 1 bound allows for a, b and their product
     ea, eb = a.evaluate_at_one(), b.evaluate_at_one()
     bits = max(1, ea.bit_length(), eb.bit_length(), (ea * eb).bit_length())
-    pa = chord_recursion._pack("a", a, bits)
-    pb = chord_recursion._pack("b", b, bits)
-    assert chord_recursion._unpack(pa, bits) == a
-    assert chord_recursion._unpack(pb, bits) == b
+    pa = refined_poly._pack("a", a, bits)
+    pb = refined_poly._pack("b", b, bits)
+    assert refined_poly._unpack(pa, bits) == a
+    assert refined_poly._unpack(pb, bits) == b
     product = (pa[0] * pb[0], pa[1] + pb[1], pa[2] * pb[2])
     assert product[2] == (a * b).evaluate_at_one()
-    assert chord_recursion._unpack(product, bits) == a * b
+    assert refined_poly._unpack(product, bits) == a * b
 
 
 # mixed parity is checked end to end in test_cli.py
@@ -263,7 +263,7 @@ def test_packed_product_matches_operator(a, b):
 )
 def test_pack_refuses_unpackable_value(terms):
     with pytest.raises(ValueError, match="some-key"):
-        chord_recursion._pack("some-key", P(terms), 64)
+        refined_poly._pack("some-key", P(terms), 64)
 
 
 def test_top_level_cache_hit_is_returned_as_stored():

@@ -15,6 +15,7 @@ from refined_chord import (
     refined_invariant,
     sample_generic_moments,
 )
+from refined_chord import refined_poly
 from refined_chord.cli import parse_degree
 from refined_chord.direct_enumerator import _DegenerateConfiguration, _subset_count
 from refined_chord.refined_poly import q_analog
@@ -403,3 +404,37 @@ def test_oracle_cost_stays_small_for_large_entries():
         elapsed, agree = line.split()
         assert agree == "True"
         assert float(elapsed) < 5.0, line
+
+
+def test_large_entries_cost_little_in_packed_weights():
+    # splits with dets up to 693 make the weights long polynomials; packed, their
+    # products are single bigint multiplies (about 3 s with dict arithmetic)
+    code = (
+        "import time\n"
+        "from refined_chord import make_degree, oracle_invariant, refined_invariant\n"
+        "d = make_degree([(-9, 2), (2, -9), (7, 7)] * 3)\n"
+        "t0 = time.perf_counter()\n"
+        "value = oracle_invariant(d, seed=0)\n"
+        "print(time.perf_counter() - t0, value == refined_invariant(d, cache={}))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    elapsed, agree = run.stdout.split()
+    assert agree == "True"
+    assert float(elapsed) < 1.0, run.stdout
+
+
+def test_narrow_slots_change_no_oracle_value(monkeypatch):
+    # 2-bit slots overflow once a subset's value at q = 1 reaches 4, so the
+    # larger CORPUS values come from the oracle's retries with wider slots
+    pinned = {name: refined_invariant(d, cache={}) for name, d in CORPUS}
+    monkeypatch.setattr(refined_poly, "_SLOT_BITS", 2)
+    for name, d in CORPUS:
+        assert oracle_invariant(d, seed=0) == pinned[name], name
