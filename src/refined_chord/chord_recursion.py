@@ -27,8 +27,8 @@ Two bookkeeping rules make the sum count curves exactly once:
   kept, blocks sorted within each colinear run, and the weight divides out
   permutations of identical blocks inside a run.
 
-The value is independent of the choice of ``(v1, vm)``; the test suite
-checks this rather than assuming it.
+The value is independent of the choice of ``(v1, vm)``, at the top level
+and in every sub-degree; the test suite checks this rather than assuming it.
 """
 
 from __future__ import annotations
@@ -55,9 +55,8 @@ Block = Tuple[Vec, ...]
 _ONE = RefinedPolynomial.one()
 
 # suffix states stored per top-level call, about 0.6 KB each: P2:10 keeps
-# 201,138 (125 MB peak, 6.9 s). P2:11 is the first triangle degree to reach the
-# guard: 25 s and 161 MB peak, against 21 s and 258 MB with all 447,041 kept.
-# Clearing costs time, not values.
+# 65,601 (55 MB peak, 6 s) and P2:11 163,786 (86 MB peak, 19 s), so no
+# triangle degree up to 11 reaches the guard. Clearing costs time, not values.
 SUFFIX_MEMO_GUARD = 250_000
 
 
@@ -248,13 +247,23 @@ def _sub_multisets(pool):
 
 
 def _default_ends(
-    vectors: Tuple[Vec, ...], v1: Optional[Vec] = None, vm: Optional[Vec] = None
+    vectors: Tuple[Vec, ...],
+    v1: Optional[Vec] = None,
+    vm: Optional[Vec] = None,
+    parent_vm: Optional[Vec] = None,
 ) -> Tuple[Vec, Vec]:
-    """Pick chord ends minimizing the distinct vectors left in the pool.
+    """Pick chord ends ``(v1, vm)`` minimizing, in this order: the distinct
+    vectors left in the pool, ``vm != parent_vm``, ``omega(v1, vm) > 0``,
+    then ``v1`` and ``vm`` lexicographically, so the pick is deterministic.
 
-    A given ``v1`` or ``vm`` is kept and only the other end is chosen. A
-    coarse proxy for fewer decompositions; correctness never depends on the
-    choice. Ties break lexicographically, so the pick is deterministic.
+    A given ``v1`` or ``vm`` is kept and only the other end is chosen.
+    Correctness never depends on the choice, only the work does. Fewer
+    distinct vectors is a coarse proxy for fewer decompositions. Suffix
+    states are shared per ``vm`` across the sub-degrees of one call (see
+    :func:`_chord_sum`), so a sub-degree that reuses the ``vm`` of the chord
+    that spawned it (``parent_vm``; None at the top level) can find its
+    states already summed. Preferring ``omega(v1, vm) <= 0`` is empirical:
+    it took fewer candidate blocks on the benchmark degrees.
     """
     counts = Counter(vectors)
     values = sorted(counts)
@@ -266,10 +275,10 @@ def _default_ends(
             distinct = sum(
                 1 for v, c in counts.items() if c - (v == a) - (v == b) > 0
             )
-            cand = (distinct, a, b)
+            cand = (distinct, b != parent_vm, omega(a, b) > 0, a, b)
             if best is None or cand < best:
                 best = cand
-    return best[1], best[2]
+    return best[3], best[4]
 
 
 def refined_invariant(
@@ -322,8 +331,9 @@ def _solve(vectors, v1, vm, cache) -> RefinedPolynomial:
     return _widening(lambda bits: _chord_sum(vectors, v1, vm, cache, {}, bits))
 
 
-def _packed_invariant(vectors, cache, memo, bits) -> Packed:
-    """Sub-degree lookup for the sorted tuple ``vectors``.
+def _packed_invariant(vectors, cache, memo, bits, parent_vm) -> Packed:
+    """Sub-degree lookup for the sorted tuple ``vectors``, spawned by a chord
+    ending in ``parent_vm``.
 
     The packed form is kept in ``memo`` under ``vectors`` itself; only on a
     miss is the string key built and ``cache`` consulted, and a solved value
@@ -336,7 +346,8 @@ def _packed_invariant(vectors, cache, memo, bits) -> Packed:
         key = vectors_key(vectors)
         hit = cache.get(key)
         if hit is None:
-            packed = _chord_sum(vectors, *_default_ends(vectors), cache, memo, bits)
+            ends = _default_ends(vectors, parent_vm=parent_vm)
+            packed = _chord_sum(vectors, *ends, cache, memo, bits)
             cache[key] = _unpack(packed, bits)
         else:
             packed = _pack(key, hit, bits)
@@ -357,7 +368,10 @@ def _chord_sum(vectors, v1, vm, cache, memo, bits) -> Packed:
 
     A state never depends on ``v1``: the degree sums to zero, so
     ``w = vm + sum(remaining pool)``. One ``memo`` therefore serves every
-    sub-degree of a top-level call, keyed by ``vm`` and the state. It is
+    sub-degree of a top-level call, keyed by ``vm`` and the state. Each
+    sub-degree is solved with ``parent_vm`` set to this chord's ``vm`` (see
+    :func:`_default_ends`), so where its pool allows, it ends its chord in
+    the same ``vm`` and meets states already summed. The memo is
     created by :func:`_solve` and dropped when that call returns, never
     stored in ``cache`` (which callers persist), and cleared whenever it
     reaches ``SUFFIX_MEMO_GUARD`` states, which costs time but changes no
@@ -443,7 +457,9 @@ def _chord_sum(vectors, v1, vm, cache, memo, bits) -> Packed:
             if n > 1:
                 closed = block + ((ux, uy),)
                 assert len(closed) < total_len
-                sn, sh, se = _packed_invariant(tuple(sorted(closed)), cache, memo, bits)
+                sn, sh, se = _packed_invariant(
+                    tuple(sorted(closed)), cache, memo, bits, vm
+                )
                 if not se:
                     continue  # every summand of this block vanishes
                 fn *= sn

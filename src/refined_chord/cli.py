@@ -23,6 +23,7 @@ import os
 import re
 import sys
 from itertools import groupby
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
@@ -243,9 +244,15 @@ def save_cache(path: str, cache: Dict[str, RefinedPolynomial]) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(json.dumps({"version": CACHE_VERSION}) + "\n")
-            for key in sorted(cache):
+            # byte for byte what json.dumps gives for {"key": key, "poly":
+            # poly.to_json_dict()}: only the key can need escaping, since
+            # exponents and coefficients are decimal ints
+            for key, poly in sorted(cache.items()):
+                terms = ", ".join(
+                    [f'"{k}": "{c}"' for k, c in poly.to_json_dict().items()]
+                )
                 fh.write(
-                    json.dumps({"key": key, "poly": cache[key].to_json_dict()}) + "\n"
+                    f'{{"key": {encode_basestring_ascii(key)}, "poly": {{{terms}}}}}\n'
                 )
         os.replace(tmp, path)
     except BaseException:

@@ -1,5 +1,8 @@
 import gc
 import itertools
+import json
+import os
+import random
 from collections import Counter
 
 import pytest
@@ -21,6 +24,8 @@ from refined_chord import (
     sub_degree,
 )
 from refined_chord import chord_recursion, refined_poly
+from refined_chord.chord_recursion import _default_ends
+from refined_chord.cli import parse_degree
 from conftest import CORPUS
 
 P = RefinedPolynomial
@@ -187,6 +192,106 @@ def test_end_choice_invariance_small():
                     continue
                 values.add(refined_invariant(d, v1=a, vm=b, cache={}))
         assert len(values) == 1, name
+
+
+def _random_ends(seed, calls):
+    """An end picker returning a seeded random admissible pair per degree;
+    appends each degree it is asked about to ``calls``."""
+
+    def pick(vectors, *args, **kwargs):
+        calls.append(vectors)
+        counts = Counter(vectors)
+        pairs = [
+            (a, b)
+            for a in sorted(counts)
+            for b in sorted(counts)
+            if a != b or counts[a] > 1
+        ]
+        return random.Random(f"{seed}:{vectors}").choice(pairs)
+
+    return pick
+
+
+FUZZ_DEGREES = CORPUS + [
+    ("P2:5:2,2,1", cp2_degree(5, [2, 2, 1])),
+    ("P1xP1:2,3", parse_degree("P1xP1:2,3")),
+]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_end_choice_invariance_every_sub_degree(monkeypatch, seed):
+    # every sub-degree, not only the top level, gets a random chord
+    pinned = {name: refined_invariant(d, cache={}) for name, d in FUZZ_DEGREES}
+    calls = []
+    monkeypatch.setattr(chord_recursion, "_default_ends", _random_ends(seed, calls))
+    for name, d in FUZZ_DEGREES:
+        assert refined_invariant(d, cache={}) == pinned[name], name
+    # the picker chose for many sub-degrees, not only the top-level ones
+    assert len(set(calls)) > 2 * len(FUZZ_DEGREES)
+
+
+def test_default_ends_tie_break():
+    p2_3 = cp2_degree(3, [1, 1, 1]).vectors
+    # every pair leaves 3 distinct vectors; omega(v1, vm) <= 0 comes next
+    assert _default_ends(p2_3) == ((-1, 0), (-1, 0))
+    # the parent's vm is preferred among equal distinct counts
+    assert _default_ends(p2_3, parent_vm=(1, 1)) == ((-1, 0), (1, 1))
+    # omega((-1, 0), (0, -1)) = 1 > 0 gives way to omega = 0
+    assert _default_ends(p2_3, parent_vm=(0, -1)) == ((0, -1), (0, -1))
+    # a parent that is not in the degree changes nothing
+    assert _default_ends(p2_3, parent_vm=(5, 5)) == _default_ends(p2_3)
+    fan = make_degree([(-1, 0), (-1, 0), (1, 2), (1, -2)]).vectors
+    # fewer distinct vectors beats the parent's vm
+    assert _default_ends(fan, parent_vm=(-1, 0)) == ((1, 2), (1, -2))
+    # and the parent's vm beats omega(v1, vm) <= 0
+    assert omega((1, -2), (1, 2)) > 0
+    assert _default_ends(fan, parent_vm=(1, 2)) == ((1, -2), (1, 2))
+    # a given end is kept
+    assert _default_ends(fan, v1=(-1, 0)) == ((-1, 0), (-1, 0))
+    assert _default_ends(fan, vm=(1, 2)) == ((1, -2), (1, 2))
+    # deterministic: repeated and reordered calls agree
+    assert _default_ends(tuple(reversed(fan)), parent_vm=(1, 2)) == ((1, -2), (1, 2))
+
+
+def test_reference_values_reproduced():
+    # every value the benchmark checks against, recomputed cold
+    path = os.path.join(
+        os.path.dirname(__file__), "..", "perfbench", "reference.json"
+    )
+    with open(path, encoding="utf-8") as fh:
+        values = json.load(fh)["values"]
+    assert len(values) == 49
+    for spec, terms in values.items():
+        expected = P({int(k): c for k, c in terms.items()})
+        assert refined_invariant(parse_degree(spec), cache={}) == expected, spec
+
+
+# elementary moves of GL2(Z) applied to a vector (x, y); each has det +-1
+GL2_MOVES = {
+    "add-x": lambda x, y, s: (x + s * y, y),
+    "add-y": lambda x, y, s: (x, y + s * x),
+    "flip": lambda x, y, s: (y, x),
+    "negate-x": lambda x, y, s: (-x, y),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["P2:3", "P2:4", "P2:4:2,2", "P1xP1:2,3", "P2:5:2,2,1"]),
+    st.lists(
+        st.tuples(st.sampled_from(sorted(GL2_MOVES)), st.sampled_from((1, -1))),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_gl2z_images_have_equal_invariants(spec, moves):
+    # omega(Au, Av) = det(A) omega(u, v), so |omega| at every vertex is kept
+    d = parse_degree(spec)
+    vecs = d.vectors
+    for kind, sign in moves:
+        vecs = [GL2_MOVES[kind](x, y, sign) for x, y in vecs]
+    image = make_degree(vecs)
+    assert refined_invariant(image, cache={}) == refined_invariant(d, cache={})
 
 
 def test_memoization_transparency():

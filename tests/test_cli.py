@@ -213,6 +213,22 @@ def test_cache_golden_bytes(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "key", ['quote"back\\slash', "caf\u00e9 \u2212 \U0001d11e", "tab\tnew\nline"]
+)
+def test_cache_line_matches_json_dumps(tmp_path, key):
+    # loaded keys can be any string, so escaping must match json.dumps
+    poly = RefinedPolynomial({3: 10**30, 1: 2, -1: 2, -3: 10**30})
+    path = tmp_path / "memo.jsonl"
+    save_cache(str(path), {key: poly})
+    expected = (
+        json.dumps({"version": 1}) + "\n"
+        + json.dumps({"key": key, "poly": poly.to_json_dict()}) + "\n"
+    )
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert load_cache(str(path)) == {key: poly}
+
+
+@pytest.mark.parametrize(
     "edit",
     [
         lambda text: text.replace("\n", "\n\n  \n"),  # blank lines
@@ -255,6 +271,13 @@ MALFORMED_CACHES = {
     "torn-last-line": ('{"version": 1}\n' + _ENTRY + "\n" + _OTHER[:30], 3),
     "non-integer-coefficient": (
         '{"version": 1}\n\n{"key": "k", "poly": {"0": "1.5"}}\n', 3
+    ),
+    # int() would read these as 1; a coefficient must be a JSON string
+    "float-coefficient": (
+        '{"version": 1}\n' + _ENTRY + '\n{"key": "k", "poly": {"0": 1.5}}\n', 3
+    ),
+    "boolean-coefficient": (
+        '{"version": 1}\n{"key": "k", "poly": {"0": "1", "2": true}}\n', 2
     ),
 }
 

@@ -192,6 +192,16 @@ def test_from_json_dict_drops_zero_coefficients():
     assert P.from_json_dict({"1": "0"}).is_zero()
 
 
+@pytest.mark.parametrize(
+    "data",
+    [{"0": 1.5}, {"0": "1", "2": True}, {"0": 1}, {"0": None}, {0: "1"}],
+    ids=["float", "boolean", "int", "null", "int-exponent"],
+)
+def test_from_json_dict_rejects_non_string_items(data):
+    with pytest.raises(TypeError):
+        P.from_json_dict(data)
+
+
 def test_integer_coercion():
     p = half(2) + half(-2)
     assert p * 3 == P({2: 3, -2: 3})
