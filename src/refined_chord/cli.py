@@ -32,6 +32,7 @@ from .direct_enumerator import (
     GenericityFailure,
     ORACLE_END_GUARD,
     TooLarge,
+    check_oracle_size,
     oracle_invariant,
 )
 from .lattice import Degree, Vec, canonical_key, cp2_degree, make_degree
@@ -197,7 +198,7 @@ def load_cache(path: str) -> Dict[str, RefinedPolynomial]:
                 _decode_entries([line])
             except _ENTRY_ERRORS as exc:
                 raise CacheFormatError(
-                    f"{path}: line {number} is not a cache entry ({_describe(exc)})"
+                    f"{path}: line {number} is not a cache entry ({_describe_entry(line, exc)})"
                 ) from None
     raise CacheFormatError(f"{path}: {_describe(bulk_error)}") from None
 
@@ -218,6 +219,23 @@ def _decode_entries(lines: List[str]) -> Dict[str, RefinedPolynomial]:
         map(itemgetter("key"), entries),
         map(RefinedPolynomial.from_json_dict, map(itemgetter("poly"), entries)),
     ))
+
+
+def _describe_entry(line: str, exc: Exception) -> str:
+    """What is wrong with one entry line that :func:`_decode_entries`
+    rejected; a coefficient that is not a JSON string is named with its
+    exponent, where ``int()`` would only say it got a non-string."""
+    if isinstance(exc, TypeError):  # the line parsed, so json.loads succeeds
+        entry = json.loads(line)
+        poly = entry.get("poly") if isinstance(entry, dict) else None
+        if isinstance(poly, dict):
+            for exponent, coefficient in poly.items():
+                if not isinstance(coefficient, str):
+                    return (
+                        f"coefficient {json.dumps(coefficient)} of exponent "
+                        f"{json.dumps(exponent)} is not a string"
+                    )
+    return _describe(exc)
 
 
 def _describe(exc: Exception) -> str:
@@ -245,11 +263,11 @@ def save_cache(path: str, cache: Dict[str, RefinedPolynomial]) -> None:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(json.dumps({"version": CACHE_VERSION}) + "\n")
             # byte for byte what json.dumps gives for {"key": key, "poly":
-            # poly.to_json_dict()}: only the key can need escaping, since
-            # exponents and coefficients are decimal ints
+            # poly.to_json_dict()}, exponents descending: only the key can
+            # need escaping, since exponents and coefficients are decimal ints
             for key, poly in sorted(cache.items()):
                 terms = ", ".join(
-                    [f'"{k}": "{c}"' for k, c in poly.to_json_dict().items()]
+                    [f'"{k}": "{c}"' for k, c in sorted(poly.items(), reverse=True)]
                 )
                 fh.write(
                     f'{{"key": {encode_basestring_ascii(key)}, "poly": {{{terms}}}}}\n'
@@ -296,8 +314,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify(args) -> int:
     d = parse_degree(args.spec)
-    if d.m > ORACLE_END_GUARD:
-        raise TooLarge(f"degree has {d.m} ends, oracle guard is {ORACLE_END_GUARD}")
+    check_oracle_size(d)  # refuse before the recursion runs
     recursion = refined_invariant(d, cache={})
     print(f"recursion: {recursion.to_text()}")
     ok = True

@@ -30,20 +30,31 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from itertools import combinations
+from operator import itemgetter
 from typing import Sequence, Tuple
 
 from .lattice import Degree
 from .refined_poly import Packed, RefinedPolynomial, _packed_q_analog, _SlotOverflow, _widening
 
-# 2**(m-1) subsets and about 3**(m-1)/2 splits: P2:5 (15 ends) takes about
-# 4.5 s and 56 MB. Large entries cost too, through the polynomial degree of the
-# weights: ((-9,2),(2,-9),(7,7))*4 (12 ends) takes about 14 s and 91 MB. The
-# guard bounds only the number of ends.
+# 2**(m-1) subsets and about 3**(m-1)/2 splits. Large entries cost too, through
+# the polynomial degree of the weights, which the pair sum P = sum over pairs of
+# ends of |omega(v_i, v_j)| bounds. A degree is refused when it has more than
+# max_ends ends, or when 2**(m-1) * P exceeds 2**(max_ends-1) * ORACLE_PAIR_GUARD,
+# so at m = max_ends P may reach ORACLE_PAIR_GUARD (P2:d has P = 3 d**2). Times
+# from one run each on a loaded 2-vCPU VM (a quiet one takes about half): P2:5
+# (15 ends, P = 75) 4.0 s at 57 MB and ((-9,2),(2,-9),(7,7))*4 (12 ends,
+# P = 3696) 8.1 s at 92 MB. At the default guard the budget is 4.2 M:
+# ((-6,1),(1,-6),(5,5))*4 (3.4 M, 0.8 s) and P2:6:3,3 (0.9 M, 1.6 s) run, while
+# ((-7,1),(1,-7),(6,6))*4 (4.7 M, 5.2 s), ((-8,1),(1,-8),(7,7))*4 (6.2 M,
+# 9.2 s) and the 12-end degree above (7.6 M) are refused. The estimate is
+# coarse: ((-7,2),(2,-7),(5,5))*4 (4.4 M) takes only 1.2 s and is refused too.
 ORACLE_END_GUARD = 14
+ORACLE_PAIR_GUARD = 512
 
 
 class TooLarge(RuntimeError):
-    """The degree has more ends than the oracle guard allows."""
+    """The degree is beyond the oracle's guard on ends and pair sum."""
 
 
 class GenericityFailure(RuntimeError):
@@ -106,6 +117,15 @@ def _subset_count(vectors, mu: Sequence[int]) -> RefinedPolynomial:
 
 
 def _packed_count(vectors, mu: Sequence[int], bits: int) -> Packed:
+    """The subset DP of :func:`_subset_count` at slot width ``bits``.
+
+    A split ``s = a | b`` checks ``a`` first, then ``b`` (``u_b`` is
+    ``u_s - u_a``): a child's root on the vertex raises, and a child with no
+    root beyond the vertex ends the split, which most splits do. Only a split
+    passing both takes its vertex weight ``[det]_q``, kept per call by
+    ``det``. A subset whose ``det`` are all 1 keeps its positions as keys
+    without rescaling.
+    """
     n = len(vectors) - 1
     size = 1 << n
     ux, uy, mom = [0] * size, [0] * size, [0] * size
@@ -116,9 +136,12 @@ def _packed_count(vectors, mu: Sequence[int], bits: int) -> Packed:
         uy[s] = uy[s ^ low] + vectors[j][1]
         mom[s] = mom[s ^ low] + mu[j]
     table = [None] * size
+    weights = {}  # det -> packed [det]_q
+    key_of, det_of = itemgetter(0), itemgetter(1)
     for s in range(1, size):
         low = s & -s
-        if s == low or (ux[s] == 0 and uy[s] == 0):
+        sx, sy = ux[s], uy[s]
+        if s == low or (sx == 0 and sy == 0):
             continue  # single ends contribute 1; a zero slope is never a child
         entries = []
         rest = s ^ low
@@ -126,11 +149,12 @@ def _packed_count(vectors, mu: Sequence[int], bits: int) -> Packed:
         while sub:  # unordered splits s = a | b with the lowest end in a
             sub = (sub - 1) & rest
             a = low | sub
-            b = s ^ a
-            ax, ay, ma = ux[a], uy[a], mom[a]
-            bx, by, mb = ux[b], uy[b], mom[b]
+            ax, ay = ux[a], uy[a]
+            bx, by = sx - ax, sy - ay
             if (ax == 0 and ay == 0) or (bx == 0 and by == 0):
                 continue
+            b = s ^ a
+            ma, mb = mom[a], mom[b]
             det = ax * by - ay * bx  # omega(u_a, u_b)
             if det == 0:
                 if ma * bx == mb * ax and ma * by == mb * ay:
@@ -140,29 +164,43 @@ def _packed_count(vectors, mu: Sequence[int], bits: int) -> Packed:
             cx, cy = ma * bx - mb * ax, ma * by - mb * ay
             if det < 0:
                 det, cx, cy = -det, -cx, -cy
-            wn, wh, we = _packed_q_analog(det, bits)
-            for child, kx, ky in ((a, ax, ay), (b, bx, by)):
-                if child & (child - 1) == 0:
-                    continue
-                keys, tails, scale = table[child]
-                at, rem = divmod((kx * cx + ky * cy) * scale, det)
+            if a & (a - 1):
+                keys, tails, scale = table[a]
+                at, rem = divmod((ax * cx + ay * cy) * scale, det)
                 i = bisect_right(keys, at)
                 if not rem and i and keys[i - 1] == at:
-                    raise _DegenerateConfiguration(f"zero-length edge to {child}")
+                    raise _DegenerateConfiguration(f"zero-length edge to {a} at split {a}|{b}")
                 if i == len(keys):
-                    break
+                    continue
+                wn, wh, we = tails[i]
+            else:
+                wn = we = 1
+                wh = 0
+            if b & (b - 1):
+                keys, tails, scale = table[b]
+                at, rem = divmod((bx * cx + by * cy) * scale, det)
+                i = bisect_right(keys, at)
+                if not rem and i and keys[i - 1] == at:
+                    raise _DegenerateConfiguration(f"zero-length edge to {b} at split {a}|{b}")
+                if i == len(keys):
+                    continue
                 tn, th, te = tails[i]
                 wn *= tn
                 wh += th
                 we *= te
-            else:
-                entries.append(((ax + bx) * cx + (ay + by) * cy, det, (wn, wh, we)))
-        scale = math.lcm(*[det for _, det, _ in entries])
-        entries = sorted(((num * (scale // det), w) for num, det, w in entries), key=lambda e: e[0])
-        tails = [None] * len(entries)
+            weight = weights.get(det)
+            if weight is None:
+                weight = weights[det] = _packed_q_analog(det, bits)
+            entries.append(
+                (sx * cx + sy * cy, det, wn * weight[0], wh + weight[1], we * weight[2])
+            )
+        scale = math.lcm(*map(det_of, entries))
+        if scale != 1:
+            entries = [(num * (scale // det), det, wn, wh, we) for num, det, wn, wh, we in entries]
+        entries.sort(key=key_of)
+        tails = []
         acc = hi = e1 = 0
-        for i in range(len(entries) - 1, -1, -1):
-            wn, wh, we = entries[i][1]
+        for _, _, wn, wh, we in reversed(entries):
             if not e1:
                 acc, hi, e1 = wn, wh, we
             else:
@@ -173,12 +211,30 @@ def _packed_count(vectors, mu: Sequence[int], bits: int) -> Packed:
                     acc = (acc << (bits * ((wh - hi) >> 1))) + wn
                     hi = wh
                 e1 += we
-            tails[i] = (acc, hi, e1)
+            tails.append((acc, hi, e1))
         if e1 >> bits:
             raise _SlotOverflow
-        table[s] = ([key for key, _ in entries], tails, scale)
+        tails.reverse()
+        table[s] = (list(map(key_of, entries)), tails, scale)
     tails = table[size - 1][1]
     return tails[0] if tails else (0, 0, 0)
+
+
+def check_oracle_size(d: Degree, max_ends: int = ORACLE_END_GUARD) -> None:
+    """Raise :class:`TooLarge` when ``d`` has more than ``max_ends`` ends, or
+    when ``2**(m-1)`` times its pair sum exceeds the budget
+    ``2**(max_ends-1) * ORACLE_PAIR_GUARD``; raising ``max_ends`` raises both."""
+    m = d.m
+    if m > max_ends:
+        raise TooLarge(f"degree has {m} ends, guard is {max_ends}")
+    pairs = sum(
+        abs(xi * yj - yi * xj) for (xi, yi), (xj, yj) in combinations(d.vectors, 2)
+    )
+    if pairs << (m - 1) > ORACLE_PAIR_GUARD << (max_ends - 1):
+        raise TooLarge(
+            f"degree has {m} ends and pair sum {pairs}: 2**{m - 1} * {pairs} exceeds "
+            f"the guard 2**{max_ends - 1} * {ORACLE_PAIR_GUARD}"
+        )
 
 
 def oracle_invariant(d: Degree, seed: int = 0, max_ends: int = ORACLE_END_GUARD) -> RefinedPolynomial:
@@ -186,14 +242,13 @@ def oracle_invariant(d: Degree, seed: int = 0, max_ends: int = ORACLE_END_GUARD)
 
     Deterministic in ``seed``. Configurations failing the exact genericity
     checks are redrawn with the seed incremented, up to 100 times. Time and
-    memory grow exponentially in the number of ends (``2**(m-1)`` subsets),
-    so degrees with more than ``max_ends`` ends are refused with
-    :class:`TooLarge` unless the guard is raised explicitly.
+    memory grow exponentially in the number of ends (``2**(m-1)`` subsets)
+    and with the size of the entries, so degrees beyond
+    :func:`check_oracle_size` are refused with :class:`TooLarge` unless
+    ``max_ends`` is raised explicitly.
     """
-    m = d.m
-    if m > max_ends:
-        raise TooLarge(f"degree has {m} ends, guard is {max_ends}")
-    if m == 2:
+    check_oracle_size(d, max_ends)
+    if d.m == 2:
         return RefinedPolynomial.one()
     for attempt in range(100):
         mu = sample_generic_moments(d, seed + attempt)

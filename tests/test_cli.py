@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -121,6 +122,17 @@ def test_verify_guard_exit_code(capsys):
     assert "guard" in capsys.readouterr().err
 
 
+def test_verify_refuses_large_entries_before_running(capsys):
+    # 12 ends pass the end guard, but the pair-sum guard refuses the degree
+    # before the recursion runs; the oracle would take about 14 s
+    t0 = time.perf_counter()
+    assert main(["verify", "(-9,2)^4,(2,-9)^4,(7,7)^4"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert "pair sum" in captured.err and "guard" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_mismatch_exit_code(capsys, monkeypatch):
     import refined_chord.cli as cli
 
@@ -172,7 +184,7 @@ def test_cache_save_failure_keeps_old_file(tmp_path):
     before = path.read_bytes()
 
     class Unserializable(RefinedPolynomial):
-        def to_json_dict(self):
+        def items(self):
             raise RuntimeError("serialization failed")
 
     cache = {
@@ -289,6 +301,22 @@ def test_cache_loader_rejects_malformed_line(tmp_path, name):
     path.write_text(text)
     with pytest.raises(CacheFormatError, match=f"line {line} "):
         load_cache(str(path))
+
+
+@pytest.mark.parametrize(
+    "name,reason",
+    [
+        ("float-coefficient", 'coefficient 1.5 of exponent "0" is not a string'),
+        ("boolean-coefficient", 'coefficient true of exponent "2" is not a string'),
+    ],
+)
+def test_cache_loader_names_non_string_coefficient(tmp_path, name, reason):
+    text, line = MALFORMED_CACHES[name]
+    path = tmp_path / "memo.jsonl"
+    path.write_text(text)
+    with pytest.raises(CacheFormatError) as info:
+        load_cache(str(path))
+    assert str(info.value) == f"{path}: line {line} is not a cache entry ({reason})"
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_CACHES))

@@ -1,9 +1,12 @@
+import itertools
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from refined_chord import (
     RefinedPolynomial,
@@ -17,7 +20,11 @@ from refined_chord import (
 )
 from refined_chord import refined_poly
 from refined_chord.cli import parse_degree
-from refined_chord.direct_enumerator import _DegenerateConfiguration, _subset_count
+from refined_chord.direct_enumerator import (
+    _DegenerateConfiguration,
+    _subset_count,
+    check_oracle_size,
+)
 from refined_chord.refined_poly import q_analog
 from conftest import CORPUS
 from tree_reference import (
@@ -178,6 +185,18 @@ def test_oracle_guard():
     assert oracle_invariant(cp2_degree(2, [2]), max_ends=5) == P({1: 1, -1: 1})
 
 
+def test_oracle_guard_on_pair_sum():
+    # 12 ends pass the end guard, but the pair sum is 3696 and 2**11 * 3696
+    # exceeds 2**13 * ORACLE_PAIR_GUARD (the oracle would take about 14 s)
+    big = make_degree([(-9, 2), (2, -9), (7, 7)] * 4)
+    with pytest.raises(TooLarge, match="pair sum 3696"):
+        oracle_invariant(big)
+    # raising the end guard raises the budget too
+    check_oracle_size(big, max_ends=15)
+    check_oracle_size(cp2_degree(5, [1] * 5), max_ends=15)
+    check_oracle_size(cp2_degree(6, [2, 2, 1, 1]), max_ends=16)
+
+
 # moments landing all ends on one point force a zero-length edge in a valid
 # tree shape of this degree, which the exact solver must flag as degenerate
 _DEGENERATE_MU = (0, 0, 0, 0)
@@ -200,6 +219,41 @@ def test_degenerate_configuration_rejected_then_redrawn(monkeypatch):
     value = de.oracle_invariant(d, seed=0)
     assert len(calls) >= 2  # first draw rejected, next seed used
     assert value == refined_invariant(d, cache={})
+
+
+def test_zero_length_edge_rejected_then_redrawn(monkeypatch):
+    # every zero-sum draw of moments in [-2, 2] for the first five ends; many
+    # put a child's root exactly on its parent vertex
+    import refined_chord.direct_enumerator as de
+
+    d = dict(CORPUS)["hexagon"]
+    sides = []
+    for head in itertools.product(range(-2, 3), repeat=d.m - 1):
+        mu = head + (-sum(head),)
+        try:
+            _subset_count(d.vectors, mu)
+        except _DegenerateConfiguration as exc:
+            mo = re.fullmatch(r"zero-length edge to (\d+) at split (\d+)\|(\d+)", str(exc))
+            if mo:
+                child, a, b = map(int, mo.groups())
+                sides.append((mu, "a" if child == a else "b"))
+    # the child is always the side a holding the split's lowest end. If the
+    # other side b = b1 | b2 had its root on the vertex C of a | b, the lines
+    # of a | b1 and b2 would meet at C too; that split comes first (its side
+    # a | b1 is a superset of a) and raises, unless u_a + u_b1 = 0. The same
+    # holds for a | b2, and both escapes together make u_b = -2 u_a parallel
+    # to u_a, so that a | b itself is skipped.
+    assert sides and {side for _, side in sides} == {"a"}
+    degenerate = sides[0][0]
+    calls = []
+
+    def adversarial(degree, seed):
+        calls.append(seed)
+        return degenerate if len(calls) == 1 else sample_generic_moments(degree, seed)
+
+    monkeypatch.setattr(de, "sample_generic_moments", adversarial)
+    assert de.oracle_invariant(d, seed=0) == refined_invariant(d, cache={})
+    assert len(calls) >= 2  # the zero-length draw was rejected, the next seed used
 
 
 def test_genericity_failure_after_redraw_bound(monkeypatch):
@@ -438,3 +492,19 @@ def test_narrow_slots_change_no_oracle_value(monkeypatch):
     monkeypatch.setattr(refined_poly, "_SLOT_BITS", 2)
     for name, d in CORPUS:
         assert oracle_invariant(d, seed=0) == pinned[name], name
+
+
+fuzz_vec = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda v: v != (0, 0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(fuzz_vec, min_size=1, max_size=8), st.integers(0, 10**6), st.data())
+def test_oracle_agrees_with_recursion_on_random_degrees(vecs, seed, data):
+    # close the drawn vectors by their negated sum: at most 9 ends
+    closing = (-sum(x for x, _ in vecs), -sum(y for _, y in vecs))
+    assume(closing != (0, 0))
+    d = make_degree(vecs + [closing])
+    value = refined_invariant(d, cache={})
+    assert oracle_invariant(d, seed=seed) == value
+    i, j = data.draw(st.lists(st.integers(0, d.m - 1), min_size=2, max_size=2, unique=True))
+    assert refined_invariant(d, v1=d.vectors[i], vm=d.vectors[j], cache={}) == value
