@@ -55,7 +55,7 @@ Block = Tuple[Vec, ...]
 _ONE = RefinedPolynomial.one()
 
 # suffix states stored per top-level call, about 0.6 KB each: P2:10 keeps
-# 65,601 (55 MB peak, 6 s) and P2:11 163,786 (86 MB peak, 19 s), so no
+# 41,777 (41 MB peak, 3.5 s) and P2:11 116,914 (60 MB peak, 12 s), so no
 # triangle degree up to 11 reaches the guard. Clearing costs time, not values.
 SUFFIX_MEMO_GUARD = 250_000
 
@@ -331,23 +331,74 @@ def _solve(vectors, v1, vm, cache) -> RefinedPolynomial:
     return _widening(lambda bits: _chord_sum(vectors, v1, vm, cache, {}, bits))
 
 
+def _normal_form(vectors: Tuple[Vec, ...]) -> Tuple[Vec, ...]:
+    """A sorted tuple shared by exactly the GL2(Z) images of ``vectors``.
+
+    A colinear degree is its own form. Otherwise each candidate is the image
+    under the unique ``M`` in GL2(Z) of determinant ``s`` (both signs are
+    tried) that sends ``a' = primitive(a)`` to ``(1, 0)`` for an end ``a`` of
+    largest multiplicity, and an end ``b`` with the least positive
+    ``y = s * omega(a', b)`` to ``(r, y)`` with ``0 <= r < y``; the form is
+    the least sorted candidate. ``A`` in GL2(Z) maps the candidate choices of
+    ``vectors`` one to one onto those of its image ``A * vectors``, each to
+    the same candidate, so both get the same form.
+    """
+    counts = Counter(vectors)
+    top = max(counts.values())
+    form = None
+    for a, c in counts.items():
+        if c != top:
+            continue
+        px, py = _primitive(a)
+        # alpha * px + beta * py == 1, so the row (alpha, beta) completes M
+        if py:
+            alpha = pow(px, -1, abs(py))
+            beta = (1 - alpha * px) // py
+        else:
+            alpha, beta = px, 0
+        xs = [alpha * x + beta * y for x, y in vectors]
+        ys = [px * y - py * x for x, y in vectors]  # omega(a', v)
+        if not any(ys):
+            return vectors
+        for s in (1, -1):
+            d = min(s * y for y in ys if s * y > 0)
+            for x, y in set(zip(xs, ys)):
+                if s * y != d:
+                    continue
+                k = -(x // d)  # the shear that puts b at (x mod d, d)
+                image = tuple(sorted([(x + k * s * y, s * y) for x, y in zip(xs, ys)]))
+                if form is None or image < form:
+                    form = image
+    return form
+
+
 def _packed_invariant(vectors, cache, memo, bits, parent_vm) -> Packed:
     """Sub-degree lookup for the sorted tuple ``vectors``, spawned by a chord
     ending in ``parent_vm``.
 
-    The packed form is kept in ``memo`` under ``vectors`` itself; only on a
-    miss is the string key built and ``cache`` consulted, and a solved value
-    is written to ``cache`` once. The key cannot equal a suffix state of
+    Lookups go, in order, to ``memo`` under ``vectors`` itself, to ``cache``
+    under the string key, and, for more than 3 ends, to ``memo`` under the
+    :func:`_normal_form` of ``vectors``: N(A * D) = N(D) for A in GL2(Z)
+    (Block-Göttsche lattice invariance), so a value solved for any image
+    serves. Only when all three miss is ``vectors`` solved, in its own
+    coordinates, and the packed value is stored under both memo keys. Every
+    miss of ``cache`` writes the value there once under the own key, so a
+    class hit adds the entry a solve would have. A memo key, the form
+    included, is a sorted vector tuple, so it cannot equal a suffix state of
     :func:`_chord_sum`: a state's second item is a nonempty tuple of
-    ``(vector, count)`` pairs, where this key has a vector of two ints.
+    ``(vector, count)`` pairs, where a vector tuple has a vector of two ints.
     """
     packed = memo.get(vectors)
     if packed is None:
         key = vectors_key(vectors)
         hit = cache.get(key)
         if hit is None:
-            ends = _default_ends(vectors, parent_vm=parent_vm)
-            packed = _chord_sum(vectors, *ends, cache, memo, bits)
+            form = _normal_form(vectors) if len(vectors) > 3 else vectors
+            packed = memo.get(form)
+            if packed is None:
+                ends = _default_ends(vectors, parent_vm=parent_vm)
+                packed = _chord_sum(vectors, *ends, cache, memo, bits)
+                memo[form] = packed
             cache[key] = _unpack(packed, bits)
         else:
             packed = _pack(key, hit, bits)
@@ -389,7 +440,12 @@ def _chord_sum(vectors, v1, vm, cache, memo, bits) -> Packed:
     sub-degree invariants vanish) is skipped, since its ``hi`` means nothing
     and would shift the sum; a block whose own sub-degree invariant vanishes
     is skipped before its tails are summed. Sub-degree values enter through
-    :func:`_packed_invariant`; ``cache`` keeps only unpacked polynomials.
+    :func:`_packed_invariant`, which looks each up in ``memo`` under its
+    sorted vector tuple, then in ``cache``, then in ``memo`` under its
+    GL2(Z) normal form, and solves it only when all three miss; both memo
+    keys are vector tuples, never equal to a 4-item suffix state whose
+    second item is a tuple of ``(vector, count)`` pairs. ``cache`` keeps
+    only unpacked polynomials.
 
     The weight of a run of ``r`` identical blocks, taking ``t_v`` of each
     vector ``v`` from a pool of ``c_v``, is ``fam_r = fam_(r-1) * X_r / r``
@@ -466,7 +522,7 @@ def _chord_sum(vectors, v1, vm, cache, memo, bits) -> Packed:
                 fh += sh
                 fe *= se
             taken = [(c, t) for c, t in zip(counts, takes) if t]
-            max_r = min(c // t for c, t in taken)
+            max_r = min([c // t for c, t in taken])
             su_dir = _primitive((sigma * ux, sigma * uy))
             # identical blocks repeat with the same sigma; take r at once
             tn, th, te = fn, fh, fe
@@ -479,11 +535,11 @@ def _chord_sum(vectors, v1, vm, cache, memo, bits) -> Packed:
                 for c, t in taken:
                     fam *= comb(c - (r - 1) * t, t)
                 fam //= r
-                rest = tuple(
+                rest = tuple([
                     (v, c - r * t)
                     for v, c, t in zip(vecs, counts, takes)
                     if c - r * t > 0
-                )
+                ])
                 w_next = (w0 + r * ux, w1 + r * uy)
                 if rest:
                     xn, xh, xe = suffix_sum(rest, w_next, su_dir, block)

@@ -120,11 +120,20 @@ def _packed_count(vectors, mu: Sequence[int], bits: int) -> Packed:
     """The subset DP of :func:`_subset_count` at slot width ``bits``.
 
     A split ``s = a | b`` checks ``a`` first, then ``b`` (``u_b`` is
-    ``u_s - u_a``): a child's root on the vertex raises, and a child with no
-    root beyond the vertex ends the split, which most splits do. Only a split
-    passing both takes its vertex weight ``[det]_q``, kept per call by
-    ``det``. A subset whose ``det`` are all 1 keeps its positions as keys
-    without rescaling.
+    ``u_s - u_a``): a child with no root beyond the vertex ends the split,
+    which most splits do. Only a split passing both takes its vertex weight
+    ``[det]_q``, kept per call by ``det``. A subset whose ``det`` are all 1
+    keeps its positions as keys without rescaling.
+
+    A root of ``a`` on the vertex ``C`` raises. A root of ``b = b1 | b2`` on
+    ``C`` needs no check, since an earlier split of ``s`` has already
+    raised: the lines of ``a``, ``b1`` and ``b2`` all pass through ``C``, so
+    the split ``(a | b1) | b2``, whose side ``a | b1`` is a superset of ``a``
+    and so comes first, has its vertex at ``C`` with the root of ``a | b1``
+    on it, and raises there (or as coincident lines) unless
+    ``u_a + u_b1 = 0``. The same holds for ``(a | b2) | b1`` unless
+    ``u_a + u_b2 = 0``, and both escapes together make ``u_b = -2 u_a``
+    parallel to ``u_a``, so that ``a | b`` itself is skipped or raises.
     """
     n = len(vectors) - 1
     size = 1 << n
@@ -178,10 +187,7 @@ def _packed_count(vectors, mu: Sequence[int], bits: int) -> Packed:
                 wh = 0
             if b & (b - 1):
                 keys, tails, scale = table[b]
-                at, rem = divmod((bx * cx + by * cy) * scale, det)
-                i = bisect_right(keys, at)
-                if not rem and i and keys[i - 1] == at:
-                    raise _DegenerateConfiguration(f"zero-length edge to {b} at split {a}|{b}")
+                i = bisect_right(keys, (bx * cx + by * cy) * scale // det)
                 if i == len(keys):
                     continue
                 tn, th, te = tails[i]

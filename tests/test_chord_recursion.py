@@ -6,7 +6,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from refined_chord import (
     DegenerateBlock,
@@ -24,7 +24,7 @@ from refined_chord import (
     sub_degree,
 )
 from refined_chord import chord_recursion, refined_poly
-from refined_chord.chord_recursion import _default_ends
+from refined_chord.chord_recursion import _default_ends, _normal_form
 from refined_chord.cli import parse_degree
 from conftest import CORPUS
 
@@ -218,12 +218,19 @@ FUZZ_DEGREES = CORPUS + [
 ]
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_end_choice_invariance_every_sub_degree(monkeypatch, seed):
-    # every sub-degree, not only the top level, gets a random chord
+@pytest.mark.parametrize(
+    "seed, class_reuse",
+    [pytest.param(seed, True, id=f"{seed}") for seed in range(3)]
+    + [pytest.param(seed, False, id=f"{seed}-no-classes") for seed in range(3)],
+)
+def test_end_choice_invariance_every_sub_degree(monkeypatch, seed, class_reuse):
+    # every sub-degree, not only the top level, gets a random chord; without
+    # class reuse every sub-degree is solved, not only one per GL2(Z) class
     pinned = {name: refined_invariant(d, cache={}) for name, d in FUZZ_DEGREES}
     calls = []
     monkeypatch.setattr(chord_recursion, "_default_ends", _random_ends(seed, calls))
+    if not class_reuse:
+        monkeypatch.setattr(chord_recursion, "_normal_form", lambda vectors: vectors)
     for name, d in FUZZ_DEGREES:
         assert refined_invariant(d, cache={}) == pinned[name], name
     # the picker chose for many sub-degrees, not only the top-level ones
@@ -275,6 +282,12 @@ GL2_MOVES = {
 }
 
 
+def _image(vectors, moves):
+    for kind, sign in moves:
+        vectors = [GL2_MOVES[kind](x, y, sign) for x, y in vectors]
+    return make_degree(vectors).vectors
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(["P2:3", "P2:4", "P2:4:2,2", "P1xP1:2,3", "P2:5:2,2,1"]),
@@ -287,11 +300,65 @@ GL2_MOVES = {
 def test_gl2z_images_have_equal_invariants(spec, moves):
     # omega(Au, Av) = det(A) omega(u, v), so |omega| at every vertex is kept
     d = parse_degree(spec)
-    vecs = d.vectors
-    for kind, sign in moves:
-        vecs = [GL2_MOVES[kind](x, y, sign) for x, y in vecs]
-    image = make_degree(vecs)
+    image = make_degree(_image(d.vectors, moves))
     assert refined_invariant(image, cache={}) == refined_invariant(d, cache={})
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=7),
+    st.lists(
+        st.tuples(st.sampled_from(sorted(GL2_MOVES)), st.sampled_from((1, -1))),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_normal_form_is_a_class_invariant(vecs, moves):
+    sx = sum(v[0] for v in vecs)
+    sy = sum(v[1] for v in vecs)
+    vecs = [v for v in vecs + [(-sx, -sy)] if v != (0, 0)]
+    assume(len(vecs) >= 3 and any(omega(vecs[0], v) for v in vecs))
+    d = make_degree(vecs).vectors
+    form = _normal_form(d)
+    assert _normal_form(_image(d, moves)) == form
+    assert _normal_form(form) == form
+    assert make_degree(form).vectors == form  # a sorted degree of the class
+
+
+def test_normal_form_of_colinear_degree_is_itself():
+    line = make_degree([(-2, 0), (-1, 0), (1, 0), (2, 0)]).vectors
+    assert _normal_form(line) is line
+
+
+def test_corpus_degrees_equal_their_normal_forms():
+    for name, d in CORPUS:
+        form = make_degree(_normal_form(d.vectors))
+        assert refined_invariant(form, cache={}) == refined_invariant(d, cache={}), name
+
+
+def test_class_reuse_solves_fewer_chords_than_keys_written(monkeypatch):
+    # 190 chords for 190 keys without class reuse
+    calls = []
+    real = chord_recursion._chord_sum
+
+    def spy(vectors, *args):
+        calls.append(vectors)
+        return real(vectors, *args)
+
+    monkeypatch.setattr(chord_recursion, "_chord_sum", spy)
+    cache = {}
+    refined_invariant(parse_degree("P2:6"), cache=cache)
+    assert len(calls) < len(cache)
+
+
+def test_class_reuse_writes_the_values_of_a_fresh_solve(monkeypatch):
+    cache = {}
+    refined_invariant(parse_degree("P2:6"), cache=cache)
+    monkeypatch.setattr(chord_recursion, "_normal_form", lambda vectors: vectors)
+    for key, value in cache.items():
+        d = parse_degree(key.replace(";", ","))
+        assert canonical_key(d) == key
+        assert refined_invariant(d, cache={}) == value, key
 
 
 def test_memoization_transparency():
