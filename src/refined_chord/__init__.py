@@ -17,43 +17,19 @@ from .lattice import (
     canonical_key,
     cp2_degree,
     make_degree,
-    omega,
 )
-from .refined_poly import (
-    BadArity,
-    RefinedPolynomial,
-    mikhalkin_normalization,
-    q_analog,
-)
-from .chord_recursion import (
-    ChordDecomposition,
-    DegenerateBlock,
-    VectorNotInDegree,
-    canonical_representative,
-    enumerate_decompositions,
-    refined_invariant,
-    sub_degree,
-)
-from .direct_enumerator import (
-    GenericityFailure,
-    ORACLE_END_GUARD,
-    TooLarge,
-    oracle_invariant,
-    sample_generic_moments,
-)
+from .refined_poly import RefinedPolynomial
+from .chord_recursion import VectorNotInDegree, refined_invariant
+from .direct_enumerator import GenericityFailure, TooLarge, oracle_invariant
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "BadArity",
     "BadPartition",
-    "ChordDecomposition",
     "Degree",
     "DegreeError",
-    "DegenerateBlock",
     "GenericityFailure",
     "NonZeroSum",
-    "ORACLE_END_GUARD",
     "RefinedPolynomial",
     "TooLarge",
     "TooSmall",
@@ -61,15 +37,8 @@ __all__ = [
     "VectorNotInDegree",
     "ZeroVector",
     "canonical_key",
-    "canonical_representative",
     "cp2_degree",
-    "enumerate_decompositions",
     "make_degree",
-    "mikhalkin_normalization",
-    "omega",
     "oracle_invariant",
-    "q_analog",
     "refined_invariant",
-    "sample_generic_moments",
-    "sub_degree",
 ]

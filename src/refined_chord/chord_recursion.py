@@ -19,13 +19,15 @@ Two bookkeeping rules make the sum count curves exactly once:
 
 * Ends are distinguishable (each carries its own moment), so equal vectors
   distributed into different blocks give distinct curves. Decompositions
-  are enumerated as sequences of vector multisets, and each carries an
-  integer ``weight``: the number of ways to assign the labeled ends.
+  are summed as sequences of vector multisets: :func:`_chord_sum` takes
+  each run of ``r`` identical blocks in one step and weights its summand
+  by the integer ``fam``, the number of ways to assign the labeled ends
+  to those ``r`` blocks as an unordered family.
 * Sequences differing only by reordering consecutive blocks with colinear
   ``u`` vectors describe the same curves (only one order has positive edge
   lengths at any given configuration). One representative per class is
-  kept, blocks sorted within each colinear run, and the weight divides out
-  permutations of identical blocks inside a run.
+  kept, blocks strictly increasing within each colinear run; identical
+  blocks of a run are the single unordered family that ``fam`` counts.
 
 The value is independent of the choice of ``(v1, vm)``, at the top level
 and in every sub-degree; the test suite checks this rather than assuming it.
@@ -34,12 +36,11 @@ and in every sub-degree; the test suite checks this rather than assuming it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product
-from math import comb, factorial, gcd
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from math import comb, gcd
+from typing import Dict, Optional, Tuple
 
-from .lattice import Degree, Vec, make_degree, omega, vectors_key
+from .lattice import Degree, Vec, omega, vectors_key
 from .refined_poly import (
     Packed,
     RefinedPolynomial,
@@ -50,8 +51,6 @@ from .refined_poly import (
     _widening,
 )
 
-Block = Tuple[Vec, ...]
-
 _ONE = RefinedPolynomial.one()
 
 # suffix states stored per top-level call, about 0.6 KB each: P2:10 keeps
@@ -60,67 +59,8 @@ _ONE = RefinedPolynomial.one()
 SUFFIX_MEMO_GUARD = 250_000
 
 
-class DegenerateBlock(ValueError):
-    """A block of ends sums to zero, which would force a zero-slope edge."""
-
-
 class VectorNotInDegree(ValueError):
     """The requested chord ends cannot be removed from the degree."""
-
-
-@dataclass(frozen=True)
-class ChordDecomposition:
-    """One admissible ordered partition of the non-chord ends.
-
-    ``blocks[i]`` is the i-th block (a sorted tuple of vectors), ``u[i]``
-    its inward slope, ``w`` the chord slopes ``w_1 .. w_{p+1}``, and
-    ``sigma[i]`` the signed multiplicity of the i-th chord vertex; the
-    telescoping ``w[-1] == vm`` always holds. ``weight`` is the number of
-    assignments of the labeled ends realizing this block sequence, after
-    dividing out reorderings of identical blocks within colinear runs.
-    """
-
-    blocks: Tuple[Block, ...]
-    u: Tuple[Vec, ...]
-    w: Tuple[Vec, ...]
-    sigma: Tuple[int, ...]
-    weight: int = 1
-
-
-def sub_degree(block: Sequence[Vec]) -> Degree:
-    """Close a block of ends into a degree by appending the balancing vector.
-
-    Raises :class:`DegenerateBlock` when the block sums to zero: the closing
-    vector would be a zero slope, which no simple curve allows.
-    """
-    block = tuple(block)
-    if not block:
-        raise DegenerateBlock("empty block")
-    sx = sum(v[0] for v in block)
-    sy = sum(v[1] for v in block)
-    if (sx, sy) == (0, 0):
-        raise DegenerateBlock(f"block {block} sums to zero")
-    return make_degree(block + ((-sx, -sy),))
-
-
-def canonical_representative(blocks: Sequence[Block]) -> bool:
-    """True iff a block sequence is the chosen representative of its class.
-
-    Within every maximal run of consecutive blocks whose ``u`` vectors lie
-    on one line through the origin, the blocks must appear in nondecreasing
-    lexicographic order of their sorted vector lists; any sequence violating
-    this is a reordering of the unique representative that satisfies it.
-    """
-    us = [_block_u(b) for b in blocks]
-    keys = [tuple(sorted(b)) for b in blocks]
-    for i in range(len(blocks) - 1):
-        if omega(us[i], us[i + 1]) == 0 and keys[i + 1] < keys[i]:
-            return False
-    return True
-
-
-def _block_u(block: Sequence[Vec]) -> Vec:
-    return (-sum(v[0] for v in block), -sum(v[1] for v in block))
 
 
 def _primitive(v: Vec) -> Vec:
@@ -138,95 +78,14 @@ def _remove_ends(vectors: Tuple[Vec, ...], *ends: Vec) -> Counter:
     return +pool
 
 
-def _labeled_weight(pool: Counter, blocks: Sequence[Block], us: Sequence[Vec]) -> int:
-    """Number of labeled-end assignments realizing a canonical block sequence.
-
-    Multinomial per vector value, divided by k! for every group of k
-    identical blocks inside a colinear run (those orders are identified).
-    """
-    weight = 1
-    for v, total in pool.items():
-        weight *= factorial(total)
-        for b in blocks:
-            weight //= factorial(sum(1 for x in b if x == v))
-    i = 0
-    while i < len(blocks):
-        j = i + 1
-        while (
-            j < len(blocks)
-            and blocks[j] == blocks[i]
-            and omega(us[j - 1], us[j]) == 0
-        ):
-            j += 1
-        weight //= factorial(j - i)
-        i = j
-    return weight
-
-
-def enumerate_decompositions(d: Degree, v1: Vec, vm: Vec) -> Iterator[ChordDecomposition]:
-    """Yield one representative per class of admissible chord decompositions.
-
-    ``v1`` and ``vm`` must be removable instances of members of ``d`` (equal
-    vectors are allowed when the multiplicity is at least 2), and ``d`` must
-    have at least 3 ends; two-end degrees are the recursion's base case and
-    are never decomposed. Enumeration is depth-first over block prefixes,
-    pruning as soon as a sigma or consecutive-pair constraint fails.
-    """
-    if d.m < 3:
-        raise ValueError("decompositions need at least 3 ends")
-    pool = _remove_ends(d.vectors, v1, vm)
-    pool_items = tuple(sorted(pool.items()))
-    w1 = (-v1[0], -v1[1])
-    for blocks, us, ws, sigmas in _search(pool_items, w1, None, None, (), (), (w1,), ()):
-        assert ws[-1] == vm
-        yield ChordDecomposition(
-            blocks=blocks,
-            u=us,
-            w=ws,
-            sigma=sigmas,
-            weight=_labeled_weight(pool, blocks, us),
-        )
-
-
-def _search(pool, w, prev_su_dir, prev_key, blocks, us, ws, sigmas):
-    """Depth-first enumeration over block prefixes with incremental pruning."""
-    for block, rest, u in _sub_multisets(pool):
-        sigma = omega(w, u)
-        if sigma == 0:
-            continue
-        if sigma > 0 and len(block) > 1:
-            continue
-        if prev_su_dir is not None:
-            cross = omega(prev_su_dir, u)
-            if cross * sigma < 0:
-                continue
-            if cross == 0 and block < prev_key:
-                continue
-        w_next = (w[0] + u[0], w[1] + u[1])
-        state = (
-            blocks + (block,),
-            us + (u,),
-            ws + (w_next,),
-            sigmas + (sigma,),
-        )
-        if not rest:
-            yield state
-        else:
-            yield from _search(
-                rest,
-                w_next,
-                _primitive((sigma * u[0], sigma * u[1])),
-                block,
-                *state,
-            )
-
-
 def _sub_multisets(pool):
     """All nonempty sub-multisets of ``pool`` with their complement and slope.
 
     ``pool`` is a sorted tuple of ``(vector, count)`` pairs; each choice
     yields ``(block, rest, u)`` where ``block`` is sorted and ``u`` is the
-    balancing slope ``-sum(block)``.
+    balancing slope ``-sum(block)``. The engine streams its own candidates;
+    this generator stays here because the benchmark's tracer wraps it by
+    name, and its suffix-state and candidate counts read null without it.
     """
     vecs = [v for v, _ in pool]
     counts = [c for _, c in pool]
@@ -458,7 +317,8 @@ def _chord_sum(vectors, v1, vm, cache, memo, bits) -> Packed:
     the first three before any tuple is built: ``sigma == 0``; ``sigma > 0``
     with ``n > 1``; ``omega(prev_su_dir, u) * sigma < 0``; and, for ``u``
     colinear with the previous ``sigma*u``, ``block <= prev_key``. The tie
-    rule is ``<=`` where ``_search`` uses ``<`` because the ``r`` loop
+    rule is ``<=`` where the decomposition stream of
+    ``tests/decomposition_reference.py`` uses ``<``, because the ``r`` loop
     already takes a run of identical blocks together, so letting an equal
     block follow would count that run a second time.
     """

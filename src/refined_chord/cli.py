@@ -10,9 +10,10 @@ Degree grammar accepted by every command:
   pairs of opposite ends.
 
 Exit codes: 0 success, 1 cross-check mismatch (``verify``), 2 parse or
-validation errors and guard violations. Results go to stdout, diagnostics
-to stderr. The environment variable ``REFINED_CHORD_CACHE`` names a default
-persistent memo file for ``compute``.
+validation errors, guard violations and a cache path that cannot be read
+or written. Results go to stdout, diagnostics to stderr. The environment
+variable ``REFINED_CHORD_CACHE`` names a default persistent memo file for
+``compute``.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ class CacheVersionError(CacheFormatError):
 
 
 _VEC = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
+_EXPONENT = re.compile(r"\^(\d+)")
 
 
 def _normalize(text: str) -> str:
@@ -96,27 +98,35 @@ def _parse_int(text: str, what: str, pos: int) -> int:
         raise ParseError(f"expected an integer {what}, got {text!r}", pos) from None
 
 
+def _parse_ints(text: str, what: str, pos: int) -> List[int]:
+    """The comma-separated integers of ``text``, which starts at ``pos``;
+    a bad one is reported at its own position."""
+    out = []
+    for item in text.split(","):
+        out.append(_parse_int(item, what, pos))
+        pos += len(item) + 1
+    return out
+
+
 def _parse_p2(s: str) -> Degree:
     parts = s.split(":")
+    if len(parts) not in (2, 3):
+        raise ParseError("malformed P2 macro, expected P2:d or P2:d:l1,l2,...", 0)
+    d = _parse_int(parts[1], "degree", 3)
     if len(parts) == 2:
-        d = _parse_int(parts[1], "degree", 3)
         return cp2_degree(d, [1] * d)
-    if len(parts) == 3:
-        d = _parse_int(parts[1], "degree", 3)
-        lam = [_parse_int(x, "partition part", 3) for x in parts[2].split(",")]
-        return cp2_degree(d, lam)
-    raise ParseError("malformed P2 macro, expected P2:d or P2:d:l1,l2,...", 0)
+    lam = _parse_ints(parts[2], "partition part", 4 + len(parts[1]))
+    return cp2_degree(d, lam)
 
 
 def _parse_p1xp1(s: str) -> Degree:
     body = s[len("P1xP1:"):]
-    nums = body.split(",")
-    if len(nums) != 2:
+    if body.count(",") != 1:
         raise ParseError("malformed P1xP1 macro, expected P1xP1:a,b", 0)
-    a = _parse_int(nums[0], "count", 6)
-    b = _parse_int(nums[1], "count", 6)
+    a, b = _parse_ints(body, "count", 6)
     if a < 1 or b < 1:
-        raise ParseError(f"P1xP1 counts must be positive, got {a},{b}", 6)
+        pos = 6 if a < 1 else 7 + body.index(",")
+        raise ParseError(f"P1xP1 counts must be positive, got {a},{b}", pos)
     return make_degree(
         [(-1, 0)] * b + [(1, 0)] * b + [(0, -1)] * a + [(0, 1)] * a
     )
@@ -136,7 +146,7 @@ def _parse_vector_list(s: str) -> Degree:
         pos = mo.end()
         mult = 1
         if pos < n and s[pos] == "^":
-            mo2 = re.compile(r"\^(\d+)").match(s, pos)
+            mo2 = _EXPONENT.match(s, pos)
             if not mo2 or int(mo2.group(1)) < 1:
                 raise ParseError("exponent must be a positive integer", pos)
             mult = int(mo2.group(1))
@@ -313,6 +323,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     d = parse_degree(args.spec)
     check_oracle_size(d)  # refuse before the recursion runs
     recursion = refined_invariant(d, cache={})
@@ -403,8 +415,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TooLarge, GenericityFailure, ValueError) as exc:
-        # ParseError, degree validation, cache file and guard failures
+    except (TooLarge, GenericityFailure, ValueError, OSError) as exc:
+        # ParseError, degree validation, cache file and guard failures, and
+        # a cache path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

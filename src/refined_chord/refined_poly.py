@@ -16,19 +16,15 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import repeat
-from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple
-
-
-class BadArity(ValueError):
-    """The normalization exponent requires at least two ends."""
+from typing import Callable, Dict, Iterator, Mapping, Tuple
 
 
 class RefinedPolynomial:
     """Immutable sparse Laurent polynomial in ``q^(1/2)``.
 
-    Supports ``+``, ``-``, ``*`` (with polynomials and integers) and ``**``
-    with nonnegative integer exponents. Instances are never mutated after
-    construction, so they can be shared and cached freely.
+    Supports ``+``, ``-`` and ``*``, with polynomials and integers.
+    Instances are never mutated after construction, so they can be shared
+    and cached freely.
     """
 
     __slots__ = ("_terms",)
@@ -47,40 +43,6 @@ class RefinedPolynomial:
     @classmethod
     def one(cls) -> "RefinedPolynomial":
         return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, half_exp: int, coeff: int = 1) -> "RefinedPolynomial":
-        """The single term ``coeff * q^(half_exp/2)``."""
-        return cls({half_exp: coeff})
-
-    @classmethod
-    def sum_of_products(
-        cls,
-        summands: Iterable[
-            Tuple[int, "RefinedPolynomial", Optional["RefinedPolynomial"]]
-        ],
-    ) -> "RefinedPolynomial":
-        """``sum(scale * a * b)`` over ``(scale, a, b)`` triples, ``b`` optional.
-
-        Equal to building the sum with ``*`` and ``+``, but every product is
-        multiplied straight into one accumulator, with no intermediate
-        polynomials; ``scale`` is a plain integer. A ``b`` of None means the
-        summand is ``scale * a``.
-        """
-        acc: Dict[int, int] = {}
-        get = acc.get
-        for scale, a, b in summands:
-            if b is None:
-                for k, c in a._terms.items():
-                    acc[k] = get(k, 0) + scale * c
-                continue
-            b_items = b._terms.items()
-            for k1, c1 in a._terms.items():
-                sc = scale * c1
-                for k2, c2 in b_items:
-                    k = k1 + k2
-                    acc[k] = get(k, 0) + sc * c2
-        return cls._adopt({k: c for k, c in acc.items() if c})
 
     @classmethod
     def _adopt(cls, terms: Dict[int, int]) -> "RefinedPolynomial":
@@ -169,18 +131,6 @@ class RefinedPolynomial:
         return RefinedPolynomial._adopt(prod)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = RefinedPolynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -275,17 +225,6 @@ def q_analog(a: int) -> RefinedPolynomial:
             poly = -q_analog(-a)
         _Q_ANALOG_CACHE[a] = poly
     return poly
-
-
-def mikhalkin_normalization(p: RefinedPolynomial, m: int) -> RefinedPolynomial:
-    """Multiply by ``(q^(1/2) - q^(-1/2))^(m-2)``, clearing quantum-integer denominators.
-
-    ``m`` is the number of ends of the underlying degree and must be at
-    least 2.
-    """
-    if m < 2:
-        raise BadArity(f"need m >= 2 ends, got {m}")
-    return p * RefinedPolynomial({1: 1, -1: -1}) ** (m - 2)
 
 
 # -- packed values (Kronecker substitution) -------------------------------

@@ -19,13 +19,15 @@ from refined_chord import (
     RefinedPolynomial,
     canonical_key,
     cp2_degree,
-    omega,
     oracle_invariant,
     refined_invariant,
-    sample_generic_moments,
 )
 from refined_chord.cli import main, render_partition
-from refined_chord.direct_enumerator import _DegenerateConfiguration
+from refined_chord.direct_enumerator import (
+    _DegenerateConfiguration,
+    sample_generic_moments,
+)
+from refined_chord.lattice import omega
 from conftest import CORPUS, NON_CP2, NON_PRIMITIVE
 from test_direct_enumerator import _vertex_positions
 from tree_reference import enumerate_trees, iter_solutions
@@ -225,7 +227,7 @@ def test_criterion_6_identity_suite(capsys):
             omega(a1, a3)
         ) * bracket(omega(a2, a13))
         assert lhs == rhs, (a1, a2, a3)
-    from refined_chord import q_analog
+    from refined_chord.refined_poly import q_analog
 
     for a in range(1, 51):
         assert q_analog(a) * s == P({a: 1, -a: -1})

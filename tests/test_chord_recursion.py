@@ -9,24 +9,26 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from refined_chord import (
-    DegenerateBlock,
     RefinedPolynomial,
     VectorNotInDegree,
     canonical_key,
-    canonical_representative,
     cp2_degree,
-    enumerate_decompositions,
     make_degree,
-    omega,
     oracle_invariant,
-    q_analog,
     refined_invariant,
-    sub_degree,
 )
 from refined_chord import chord_recursion, refined_poly
 from refined_chord.chord_recursion import _default_ends, _normal_form
 from refined_chord.cli import parse_degree
+from refined_chord.lattice import omega
+from refined_chord.refined_poly import q_analog
 from conftest import CORPUS
+from decomposition_reference import (
+    DegenerateBlock,
+    canonical_representative,
+    enumerate_decompositions,
+    sub_degree,
+)
 
 P = RefinedPolynomial
 
@@ -445,7 +447,7 @@ def test_top_level_cache_hit_is_returned_as_stored():
 
 
 def test_generator_sum_matches_fast_engine():
-    # the public stream of decompositions carries enough data to rebuild
+    # the reference stream of decompositions carries enough data to rebuild
     # the invariant term by term
     cache = {}
     for name, d in CORPUS:

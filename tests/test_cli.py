@@ -61,6 +61,20 @@ def test_parse_error_positions():
         parse_degree("P2:x")
     with pytest.raises(ParseError):
         parse_degree("P1xP1:3")
+    # macro errors point at the offending token
+    with pytest.raises(ParseError) as err:
+        parse_degree("P2:3:1,x")
+    assert err.value.pos == 7
+    assert "(at position 7)" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse_degree("P1xP1:2,x")
+    assert err.value.pos == 8
+    with pytest.raises(ParseError) as err:
+        parse_degree("P2:x")
+    assert err.value.pos == 3
+    with pytest.raises(ParseError) as err:
+        parse_degree("P1xP1:12,0")
+    assert err.value.pos == 9
 
 
 def test_render_round_trip():
@@ -115,6 +129,15 @@ def test_verify_conic(capsys):
     assert main(["verify", "P2:2"]) == 0
     out = capsys.readouterr().out
     assert out.count("(agree)") == 3
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_verify_refuses_fewer_than_one_seed(capsys, seeds):
+    # no oracle run means nothing was verified
+    assert main(["verify", "P2:3", "--seeds", seeds]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --seeds must be at least 1")
 
 
 def test_verify_guard_exit_code(capsys):
@@ -400,3 +423,21 @@ def test_oracle_command(capsys):
     assert capsys.readouterr().out.strip() == "q^(1/2) + q^(-1/2)"
     assert main(["oracle", "P2:5"]) == 2
     assert "guard" in capsys.readouterr().err
+
+
+def test_compute_cache_path_is_a_directory_exits_2(tmp_path, capsys):
+    assert main(["compute", "P2:3", "--cache-path", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_compute_cache_path_in_missing_directory_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "memo.jsonl"
+    assert main(["compute", "P2:3", "--cache-path", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "q + 7 + q^-1"
+    assert captured.err.startswith("error: ")
+    assert str(path) in captured.err
+    assert not path.parent.exists()

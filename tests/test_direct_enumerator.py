@@ -13,10 +13,8 @@ from refined_chord import (
     TooLarge,
     cp2_degree,
     make_degree,
-    omega,
     oracle_invariant,
     refined_invariant,
-    sample_generic_moments,
 )
 from refined_chord import refined_poly
 from refined_chord.cli import parse_degree
@@ -24,7 +22,9 @@ from refined_chord.direct_enumerator import (
     _DegenerateConfiguration,
     _subset_count,
     check_oracle_size,
+    sample_generic_moments,
 )
+from refined_chord.lattice import omega
 from refined_chord.refined_poly import q_analog
 from conftest import CORPUS
 from tree_reference import (

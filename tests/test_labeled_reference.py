@@ -42,36 +42,36 @@ def labeled_chord_sum(d, v1, vm, cache):
         total = P.zero()
         sub = rem
         while sub:
-            u = (-sx[sub], -sy[sub])
+            block, sub = sub, (sub - 1) & rem
+            u = (-sx[block], -sy[block])
             sigma = w[0] * u[1] - w[1] * u[0]
-            if sigma != 0:
-                size = bin(sub).count("1")
-                if not (sigma > 0 and size > 1):
-                    content = tuple(sorted(ends[j] for j in range(n) if sub >> j & 1))
-                    labels = tuple(j for j in range(n) if sub >> j & 1)
-                    ok = True
-                    if prev_su_dir is not None:
-                        cross = prev_su_dir[0] * u[1] - prev_su_dir[1] * u[0]
-                        if cross * sigma < 0:
-                            ok = False
-                        elif cross == 0 and (content, labels) < prev_key:
-                            ok = False
-                    if ok:
-                        factor = q_analog(abs(sigma))
-                        if size > 1:
-                            factor = factor * _invariant(
-                                tuple(sorted(content + (u,))), cache
-                            )
-                        rest = rem & ~sub
-                        if rest == 0:
-                            total = total + factor
-                        else:
-                            total = total + factor * go(
-                                rest,
-                                _primitive((sigma * u[0], sigma * u[1])),
-                                (content, labels),
-                            )
-            sub = (sub - 1) & rem
+            if sigma == 0:
+                continue
+            size = bin(block).count("1")
+            if sigma > 0 and size > 1:
+                continue
+            cross = None
+            if prev_su_dir is not None:
+                cross = prev_su_dir[0] * u[1] - prev_su_dir[1] * u[0]
+                if cross * sigma < 0:
+                    continue
+            # built only for blocks that passed the sign rules
+            content = tuple(sorted(ends[j] for j in range(n) if block >> j & 1))
+            labels = tuple(j for j in range(n) if block >> j & 1)
+            if cross == 0 and (content, labels) < prev_key:
+                continue
+            factor = q_analog(abs(sigma))
+            if size > 1:
+                factor = factor * _invariant(tuple(sorted(content + (u,))), cache)
+            rest = rem & ~block
+            if rest == 0:
+                total = total + factor
+            else:
+                total = total + factor * go(
+                    rest,
+                    _primitive((sigma * u[0], sigma * u[1])),
+                    (content, labels),
+                )
         memo[state] = total
         return total
 

@@ -12,8 +12,8 @@ from refined_chord import (
     canonical_key,
     cp2_degree,
     make_degree,
-    omega,
 )
+from refined_chord.lattice import omega
 
 coords = st.integers(-10**9, 10**9)
 vectors = st.tuples(coords, coords)

@@ -3,13 +3,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from refined_chord import (
-    BadArity,
-    RefinedPolynomial,
-    mikhalkin_normalization,
-    omega,
-    q_analog,
-)
+from refined_chord import RefinedPolynomial
+from refined_chord.lattice import omega
+from refined_chord.refined_poly import q_analog
 
 P = RefinedPolynomial
 
@@ -54,37 +50,6 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-def _sum_by_operators(summands):
-    total = P.zero()
-    for scale, a, b in summands:
-        total = total + (scale * a if b is None else scale * a * b)
-    return total
-
-
-@given(
-    st.lists(
-        st.tuples(st.integers(-5, 5), polys, st.one_of(st.none(), polys)),
-        max_size=5,
-    )
-)
-def test_sum_of_products_matches_operators(summands):
-    got = P.sum_of_products(summands)
-    assert got == _sum_by_operators(summands)
-    assert 0 not in dict(got.items()).values()
-
-
-def test_sum_of_products_cancellation():
-    s = P({1: 1, -1: 1})
-    d = P({1: 1, -1: -1})
-    summands = [(3, s, d), (-3, d, s), (2, P({0: 5}), None), (-10, P.one(), None)]
-    assert P.sum_of_products(summands) == P.zero()
-    assert P.sum_of_products(summands).support == ()
-    # partial cancellation: only the constant term survives
-    summands = [(1, s, s), (-1, d, d)]
-    assert P.sum_of_products(summands) == P({2: 0, 0: 4, -2: 0}) == 4
-    assert P.sum_of_products([]) == P.zero()
-
-
 def test_q_analog_values():
     assert q_analog(1) == P.one()
     assert q_analog(2) == P({1: 1, -1: 1})
@@ -124,15 +89,6 @@ def test_uniform_parity():
     assert P({3: 1, 1: 6, -1: 6, -3: 1}).uniform_parity()
     assert not P({1: 1, 0: 1}).uniform_parity()
     assert P.zero().uniform_parity()
-
-
-def test_mikhalkin_normalization():
-    assert mikhalkin_normalization(P.one(), 3) == P({1: 1, -1: -1})
-    assert mikhalkin_normalization(P.one(), 2) == P.one()
-    s = P({1: 1, -1: 1})
-    assert mikhalkin_normalization(s, 2) == s
-    with pytest.raises(BadArity):
-        mikhalkin_normalization(P.one(), 1)
 
 
 def _bracket(n):
@@ -209,10 +165,3 @@ def test_integer_coercion():
     assert P.one() == 1
     assert P.zero() == 0
 
-
-def test_power():
-    s = P({1: 1, -1: -1})
-    assert s**0 == P.one()
-    assert s**2 == P({2: 1, 0: -2, -2: 1})
-    with pytest.raises(ValueError):
-        s ** (-1)
