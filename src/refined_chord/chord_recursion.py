@@ -44,6 +44,7 @@ from .lattice import Degree, Vec, omega, vectors_key
 from .refined_poly import (
     Packed,
     RefinedPolynomial,
+    _check_cached,
     _pack,
     _packed_q_analog,
     _SlotOverflow,
@@ -157,9 +158,9 @@ def refined_invariant(
     with a degree's final value, so sharing a cache across threads is safe:
     concurrent duplicate work can happen, concurrent wrong answers cannot.
 
-    A cached sub-degree value must be nonnegative, palindromic and of
-    uniform parity, as every computed value is; any other raises
-    ``ValueError`` naming its key. A top-level hit is returned as stored.
+    A cached value, of a sub-degree or of ``d`` itself, must be
+    nonnegative, palindromic and of uniform parity, as every computed value
+    is; any other raises ``ValueError`` naming its key.
     """
     if cache is None:
         cache = {}
@@ -179,6 +180,7 @@ def _invariant(vectors: Tuple[Vec, ...], cache) -> RefinedPolynomial:
     key = vectors_key(vectors)
     hit = cache.get(key)
     if hit is not None:
+        _check_cached(key, hit)
         return hit
     value = _solve(vectors, *_default_ends(vectors), cache)
     cache[key] = value

@@ -23,7 +23,7 @@ import json
 import os
 import re
 import sys
-from itertools import groupby
+from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
@@ -37,7 +37,7 @@ from .direct_enumerator import (
     oracle_invariant,
 )
 from .lattice import Degree, Vec, canonical_key, cp2_degree, make_degree
-from .refined_poly import RefinedPolynomial
+from .refined_poly import RefinedPolynomial, _Deferred
 
 CACHE_ENV = "REFINED_CHORD_CACHE"
 CACHE_VERSION = 1
@@ -208,47 +208,76 @@ def load_cache(path: str) -> Dict[str, RefinedPolynomial]:
                 _decode_entries([line])
             except _ENTRY_ERRORS as exc:
                 raise CacheFormatError(
-                    f"{path}: line {number} is not a cache entry ({_describe_entry(line, exc)})"
+                    f"{path}: line {number} is not a cache entry ({_describe(exc)})"
                 ) from None
     raise CacheFormatError(f"{path}: {_describe(bulk_error)}") from None
 
 
+class _BadTerm(ValueError):
+    """A poly of an entry line is not an object of decimal-integer strings."""
+
+
 # what a malformed entry line raises in _decode_entries
-_ENTRY_ERRORS = (ValueError, TypeError, KeyError, AttributeError)
+_ENTRY_ERRORS = (ValueError, TypeError, KeyError)
+
+# decimal integers as save_cache writes them, an optional minus and ASCII
+# digits, each followed by a comma
+_DECIMALS = re.compile("(?:-?[0-9]+,)*")
 
 
 def _decode_entries(lines: List[str]) -> Dict[str, RefinedPolynomial]:
     """Decode entry lines in one ``json.loads`` pass: each line must hold
     one ``{"key": ..., "poly": ...}`` object. A torn line leaves a string or
     an object open and fails to parse; a line holding two values makes one
-    entry too many, which the count against the lines catches."""
+    entry too many, which the count against the lines catches.
+
+    Every exponent and coefficient string is checked at once, by one match
+    over all of them, each followed by a comma: a string holding a comma of
+    its own would add one, which the count of commas catches. The values
+    are decoded only where they are used (:class:`_Deferred`).
+    """
     entries = json.loads("[" + ",".join(lines) + "]")
     if len(entries) != len(lines):
         raise ValueError(f"{len(entries)} values on {len(lines)} lines")
-    return dict(zip(
-        map(itemgetter("key"), entries),
-        map(RefinedPolynomial.from_json_dict, map(itemgetter("poly"), entries)),
-    ))
+    polys = list(map(itemgetter("poly"), entries))
+    try:
+        text = ",".join(chain(
+            chain.from_iterable(map(dict.keys, polys)),
+            chain.from_iterable(map(dict.values, polys)),
+            ("",),
+        ))
+        ok = _DECIMALS.fullmatch(text) and text.count(",") == 2 * sum(map(len, polys))
+    except TypeError:  # a poly that is not an object, or a non-string value
+        ok = False
+    if not ok:
+        raise _BadTerm(_bad_term(polys))
+    return dict(zip(map(itemgetter("key"), entries), map(_Deferred, polys)))
 
 
-def _describe_entry(line: str, exc: Exception) -> str:
-    """What is wrong with one entry line that :func:`_decode_entries`
-    rejected; a coefficient that is not a JSON string is named with its
-    exponent, where ``int()`` would only say it got a non-string."""
-    if isinstance(exc, TypeError):  # the line parsed, so json.loads succeeds
-        entry = json.loads(line)
-        poly = entry.get("poly") if isinstance(entry, dict) else None
-        if isinstance(poly, dict):
-            for exponent, coefficient in poly.items():
-                if not isinstance(coefficient, str):
-                    return (
-                        f"coefficient {json.dumps(coefficient)} of exponent "
-                        f"{json.dumps(exponent)} is not a string"
-                    )
-    return _describe(exc)
+def _bad_term(polys: List[dict]) -> str:
+    """Why the first bad poly of ``polys`` fails :func:`_decode_entries`'s
+    check, naming the value and where it is."""
+    for poly in polys:
+        if not isinstance(poly, dict):
+            return f"poly {json.dumps(poly)} is not an object"
+        for exponent, coefficient in poly.items():
+            where = f"of exponent {json.dumps(exponent)}"
+            if not isinstance(coefficient, str):
+                return f"coefficient {json.dumps(coefficient)} {where} is not a string"
+            if not _is_decimal(exponent):
+                return f"exponent {json.dumps(exponent)} is not a decimal integer"
+            if not _is_decimal(coefficient):
+                return f"coefficient {json.dumps(coefficient)} {where} is not a decimal integer"
+    return "a string is not a decimal integer"  # not reached
+
+
+def _is_decimal(text: str) -> bool:
+    return "," not in text and _DECIMALS.fullmatch(text + ",") is not None
 
 
 def _describe(exc: Exception) -> str:
+    if isinstance(exc, _BadTerm):
+        return str(exc)
     if isinstance(exc, json.JSONDecodeError):
         return f"invalid JSON: {exc.msg}"
     if isinstance(exc, KeyError):
@@ -274,11 +303,15 @@ def save_cache(path: str, cache: Dict[str, RefinedPolynomial]) -> None:
             fh.write(json.dumps({"version": CACHE_VERSION}) + "\n")
             # byte for byte what json.dumps gives for {"key": key, "poly":
             # poly.to_json_dict()}, exponents descending: only the key can
-            # need escaping, since exponents and coefficients are decimal ints
+            # need escaping, since exponents and coefficients are decimal ints.
+            # A loaded entry is written from the strings it was read from,
+            # undecoded; for a file written here they are in that order.
             for key, poly in sorted(cache.items()):
-                terms = ", ".join(
-                    [f'"{k}": "{c}"' for k, c in sorted(poly.items(), reverse=True)]
-                )
+                if type(poly) is _Deferred:
+                    pairs = poly._raw.items()
+                else:
+                    pairs = sorted(poly.items(), reverse=True)
+                terms = ", ".join([f'"{k}": "{c}"' for k, c in pairs])
                 fh.write(
                     f'{{"key": {encode_basestring_ascii(key)}, "poly": {{{terms}}}}}\n'
                 )
@@ -305,6 +338,9 @@ def cmd_compute(args) -> int:
     cache: Dict[str, RefinedPolynomial] = {}
     if cache_path and os.path.exists(cache_path):
         cache = load_cache(cache_path)
+    elif cache_path and not os.path.isdir(os.path.dirname(cache_path) or "."):
+        # the save would fail, so fail before the computation
+        raise FileNotFoundError(f"{cache_path}: no such directory for the cache file")
     known = len(cache)
     value = refined_invariant(d, v1=v1, vm=vm, cache=cache)
     if v1 is None and vm is None:

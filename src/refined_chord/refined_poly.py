@@ -58,9 +58,6 @@ class RefinedPolynomial:
         """Half-exponents with nonzero coefficient, in decreasing order."""
         return tuple(sorted(self._terms, reverse=True))
 
-    def coefficient(self, half_exp: int) -> int:
-        return self._terms.get(half_exp, 0)
-
     def items(self) -> Iterator[Tuple[int, int]]:
         return iter(self._terms.items())
 
@@ -196,6 +193,28 @@ class RefinedPolynomial:
     __str__ = to_text
 
 
+class _Deferred(RefinedPolynomial):
+    """The polynomial of ``raw``, a :meth:`RefinedPolynomial.to_json_dict`
+    form whose strings are all decimal integers, decoded on first use.
+
+    ``raw`` is kept, so a cache can write the value back without decoding
+    it. The decoding lives in this subclass because a class that defines
+    ``__getattr__`` takes a slower path for every attribute it reads.
+    """
+
+    __slots__ = ("_raw",)
+
+    def __init__(self, raw: Dict[str, str]):
+        self._raw = raw
+
+    def __getattr__(self, name):
+        # only the unset _terms slot gets here; setting it decodes once
+        if name != "_terms":
+            raise AttributeError(name)
+        terms = self._terms = RefinedPolynomial.from_json_dict(self._raw)._terms
+        return terms
+
+
 def _power_text(half_exp: int):
     """Render ``q^(half_exp/2)``; None means the q^0 constant."""
     if half_exp == 0:
@@ -261,9 +280,10 @@ def _widening(count: Callable[[int], Packed]) -> RefinedPolynomial:
             bits *= 2
 
 
-def _pack(key: str, poly: RefinedPolynomial, bits: int) -> Packed:
-    """``poly`` in packed form, or ``ValueError`` naming ``key`` when the
-    form cannot hold it exactly."""
+def _check_cached(key: str, poly: RefinedPolynomial) -> None:
+    """Raise ``ValueError`` naming ``key`` unless ``poly``, read from a
+    cache, is nonnegative, palindromic and of uniform parity, as every
+    computed value is, and as the packed form needs to hold it exactly."""
     if not (
         poly.is_palindromic()
         and poly.uniform_parity()
@@ -272,6 +292,12 @@ def _pack(key: str, poly: RefinedPolynomial, bits: int) -> Packed:
         raise ValueError(
             f"cache entry {key!r} is not nonnegative, palindromic and of uniform parity"
         )
+
+
+def _pack(key: str, poly: RefinedPolynomial, bits: int) -> Packed:
+    """``poly`` in packed form, or ``ValueError`` naming ``key`` when the
+    form cannot hold it exactly (see :func:`_check_cached`)."""
+    _check_cached(key, poly)
     if poly.is_zero():
         return 0, 0, 0
     hi = poly.support[0]

@@ -4,7 +4,14 @@ import time
 
 import pytest
 
-from refined_chord import NonZeroSum, RefinedPolynomial, cp2_degree, make_degree
+from refined_chord import (
+    NonZeroSum,
+    RefinedPolynomial,
+    canonical_key,
+    cp2_degree,
+    make_degree,
+    refined_invariant,
+)
 from refined_chord.cli import (
     CACHE_ENV,
     CacheFormatError,
@@ -277,6 +284,9 @@ def test_cache_loader_tolerates_whitespace(tmp_path, edit):
     path = tmp_path / "memo.jsonl"
     path.write_bytes(edit(GOLDEN_CACHE).encode("utf-8"))
     assert load_cache(str(path)) == GOLDEN_ENTRIES
+    # entries are written back from the strings they were read from
+    save_cache(str(path), load_cache(str(path)))
+    assert path.read_bytes() == GOLDEN_CACHE.encode("utf-8")
 
 
 def test_cache_loader_empty_file(tmp_path):
@@ -285,6 +295,19 @@ def test_cache_loader_empty_file(tmp_path):
     assert load_cache(str(path)) == {}
     path.write_text('{"version": 1}\n')
     assert load_cache(str(path)) == {}
+
+
+def test_cache_loader_zero_polynomials(tmp_path):
+    # a vanishing invariant is stored as an empty poly; a file may hold only such
+    path = tmp_path / "memo.jsonl"
+    text = '{"version": 1}\n{"key": "a", "poly": {}}\n{"key": "b", "poly": {}}\n'
+    path.write_text(text)
+    loaded = load_cache(str(path))
+    assert loaded == {"a": RefinedPolynomial(), "b": RefinedPolynomial()}
+    save_cache(str(path), loaded)
+    assert path.read_text() == text
+    path.write_text(GOLDEN_CACHE + '{"key": "zero", "poly": {}}\n')
+    assert load_cache(str(path)) == {**GOLDEN_ENTRIES, "zero": RefinedPolynomial()}
 
 
 _ENTRY = '{"key": "(-1,0);(0,-1);(1,1)", "poly": {"0": "1"}}'
@@ -314,6 +337,22 @@ MALFORMED_CACHES = {
     "boolean-coefficient": (
         '{"version": 1}\n{"key": "k", "poly": {"0": "1", "2": true}}\n', 2
     ),
+    # int(x, 10) reads these, but save_cache never writes them
+    "plus-coefficient": ('{"version": 1}\n{"key": "k", "poly": {"0": "+5"}}\n', 2),
+    "space-coefficient": ('{"version": 1}\n{"key": "k", "poly": {"0": " 5"}}\n', 2),
+    "underscore-coefficient": (
+        '{"version": 1}\n{"key": "k", "poly": {"0": "1_0"}}\n', 2
+    ),
+    "non-ascii-coefficient": (
+        '{"version": 1}\n' + _ENTRY + '\n{"key": "k", "poly": {"0": "\\u0665"}}\n', 3
+    ),
+    "non-decimal-exponent": (
+        '{"version": 1}\n{"key": "k", "poly": {"0": "1", "+2": "1"}}\n', 2
+    ),
+    # one string holding two integers, which a plain match of the joined
+    # strings would read as two
+    "comma-coefficient": ('{"version": 1}\n{"key": "k", "poly": {"0": "1,2"}}\n', 2),
+    "empty-coefficient": ('{"version": 1}\n{"key": "k", "poly": {"0": ""}}\n', 2),
 }
 
 
@@ -331,6 +370,19 @@ def test_cache_loader_rejects_malformed_line(tmp_path, name):
     [
         ("float-coefficient", 'coefficient 1.5 of exponent "0" is not a string'),
         ("boolean-coefficient", 'coefficient true of exponent "2" is not a string'),
+        (
+            "non-integer-coefficient",
+            'coefficient "1.5" of exponent "0" is not a decimal integer',
+        ),
+        (
+            "non-ascii-coefficient",
+            'coefficient "\\u0665" of exponent "0" is not a decimal integer',
+        ),
+        (
+            "comma-coefficient",
+            'coefficient "1,2" of exponent "0" is not a decimal integer',
+        ),
+        ("non-decimal-exponent", 'exponent "+2" is not a decimal integer'),
     ],
 )
 def test_cache_loader_names_non_string_coefficient(tmp_path, name, reason):
@@ -401,6 +453,36 @@ def test_compute_refuses_unpackable_cached_subdegree(tmp_path, capsys):
     assert path.read_bytes() == before
 
 
+def test_compute_refuses_unpackable_cached_top_level_value(tmp_path, capsys):
+    # a hit on the computed degree's own key is checked as a sub-degree hit is
+    path = tmp_path / "memo.jsonl"
+    key = "(-1,0);(-1,0);(-1,0);(0,-1);(0,-1);(0,-1);(1,1);(1,1);(1,1)"
+    save_cache(str(path), {key: RefinedPolynomial({1: 1, 0: 1, -1: 1})})
+    before = path.read_bytes()
+    assert main(["compute", "P2:3", "--cache-path", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert key in captured.err
+    assert path.read_bytes() == before
+
+
+def test_compute_miss_resaves_loaded_entries_as_an_eager_save(tmp_path, capsys):
+    # loaded entries are written back undecoded, and must give the bytes that
+    # decoding them first would
+    path = tmp_path / "memo.jsonl"
+    assert main(["compute", "P2:4", "--cache-path", str(path)]) == 0
+    eager = {
+        key: RefinedPolynomial(dict(poly.items()))
+        for key, poly in load_cache(str(path)).items()
+    }
+    assert main(["compute", "P1xP1:2,2", "--cache-path", str(path)]) == 0
+    d = parse_degree("P1xP1:2,2")
+    eager.setdefault(canonical_key(d), refined_invariant(d, cache=eager))
+    save_cache(str(tmp_path / "eager.jsonl"), eager)
+    assert path.read_bytes() == (tmp_path / "eager.jsonl").read_bytes()
+    assert capsys.readouterr().out.splitlines()[1] == refined_invariant(d).to_text()
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     path = tmp_path / "env-memo.jsonl"
     monkeypatch.setenv(CACHE_ENV, str(path))
@@ -437,7 +519,7 @@ def test_compute_cache_path_in_missing_directory_exits_2(tmp_path, capsys):
     path = tmp_path / "missing" / "memo.jsonl"
     assert main(["compute", "P2:3", "--cache-path", str(path)]) == 2
     captured = capsys.readouterr()
-    assert captured.out.strip() == "q + 7 + q^-1"
+    assert captured.out == ""  # refused before the computation
     assert captured.err.startswith("error: ")
     assert str(path) in captured.err
     assert not path.parent.exists()

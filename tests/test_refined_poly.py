@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from refined_chord import RefinedPolynomial
 from refined_chord.lattice import omega
-from refined_chord.refined_poly import q_analog
+from refined_chord.refined_poly import _Deferred, _pack, q_analog
 
 P = RefinedPolynomial
 
@@ -156,6 +156,37 @@ def test_from_json_dict_drops_zero_coefficients():
 def test_from_json_dict_rejects_non_string_items(data):
     with pytest.raises(TypeError):
         P.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "eager",
+    [P(), P({0: 1}), P({2: 1, 0: 7, -2: 1}), P({3: 1, 1: 5, -1: 5, -3: 1}),
+     P({3: 10**30, -3: 10**30})],
+    ids=["zero", "one", "cubic", "half-integer", "big"],
+)
+def test_deferred_polynomial_behaves_as_eager(eager):
+    # built the way load_cache builds its values, from checked strings
+    def lazy():
+        return _Deferred(eager.to_json_dict())
+
+    assert lazy() == eager and eager == lazy() and lazy() == lazy()
+    assert lazy() != eager + 1 and not (lazy() == eager + 1)
+    assert hash(lazy()) == hash(eager)
+    assert lazy().to_text() == str(lazy()) == eager.to_text()
+    assert repr(lazy()) == repr(eager)
+    assert lazy().to_json_dict() == eager.to_json_dict()
+    assert lazy().support == eager.support
+    assert dict(lazy().items()) == dict(eager.items())
+    assert bool(lazy()) == bool(eager) and lazy().is_zero() == eager.is_zero()
+    assert lazy().evaluate_at_one() == eager.evaluate_at_one()
+    assert lazy() * lazy() == eager * eager and lazy() + 2 == eager + 2
+    assert -lazy() == -eager and 3 - lazy() == 3 - eager
+    for bits in (64, 128):
+        assert _pack("k", lazy(), bits) == _pack("k", eager, bits)
+
+
+def test_deferred_polynomial_drops_zero_coefficients():
+    assert _Deferred({"2": "0", "0": "5", "-2": "-0"}) == P({0: 5})
 
 
 def test_integer_coercion():
