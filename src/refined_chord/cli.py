@@ -19,13 +19,13 @@ variable ``REFINED_CHORD_CACHE`` names a default persistent memo file for
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
 import sys
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .chord_recursion import refined_invariant
@@ -37,10 +37,10 @@ from .direct_enumerator import (
     oracle_invariant,
 )
 from .lattice import Degree, Vec, canonical_key, cp2_degree, make_degree
-from .refined_poly import RefinedPolynomial, _Deferred
+from .refined_poly import RefinedPolynomial, _Deferred, _dense
 
 CACHE_ENV = "REFINED_CHORD_CACHE"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 TABLE_DEGREE_GUARD = 8
 
 
@@ -175,8 +175,9 @@ def render_degree(d: Degree) -> str:
 
 def load_cache(path: str) -> Dict[str, RefinedPolynomial]:
     """Read a JSON-lines cache file: a version header, then one entry per
-    line; blank lines are skipped. Unknown versions are rejected rather than
-    guessed at, and anything else that is not this format raises
+    line; blank lines are skipped. A file of an earlier version is refused
+    with a message saying it can be deleted, an unknown version is refused
+    rather than guessed at, and anything else that is not this format raises
     :class:`CacheFormatError` naming the file and, where it can, the line."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -193,90 +194,91 @@ def load_cache(path: str) -> Dict[str, RefinedPolynomial]:
         raise CacheFormatError(
             f"{path}: line 1 is not a cache header ({_describe(exc)})"
         ) from None
+    if type(version) is int and 0 < version < CACHE_VERSION:
+        raise CacheVersionError(
+            f"{path}: cache version {version} is from an older release and "
+            f"cannot be read (want {CACHE_VERSION}); the file only holds "
+            "values that compute rebuilds, so it can be deleted"
+        )
     if version != CACHE_VERSION:
         raise CacheVersionError(
             f"{path}: cache version {version!r} unsupported (want {CACHE_VERSION})"
         )
     try:
         return _decode_entries(list(filter(str.strip, lines)))
-    except _ENTRY_ERRORS as exc:
+    except ValueError as exc:
         bulk_error = exc
     # locate the first bad line; each line alone is decoded as in bulk
     for number, line in enumerate(lines, start=2):
         if line.strip():
             try:
                 _decode_entries([line])
-            except _ENTRY_ERRORS as exc:
+            except ValueError as exc:
                 raise CacheFormatError(
                     f"{path}: line {number} is not a cache entry ({_describe(exc)})"
                 ) from None
     raise CacheFormatError(f"{path}: {_describe(bulk_error)}") from None
 
 
-class _BadTerm(ValueError):
-    """A poly of an entry line is not an object of decimal-integer strings."""
-
-
-# what a malformed entry line raises in _decode_entries
-_ENTRY_ERRORS = (ValueError, TypeError, KeyError)
-
-# decimal integers as save_cache writes them, an optional minus and ASCII
-# digits, each followed by a comma
-_DECIMALS = re.compile("(?:-?[0-9]+,)*")
+class _BadEntry(ValueError):
+    """An entry line is not a ``[key, hi, coeffs]`` list of the right types."""
 
 
 def _decode_entries(lines: List[str]) -> Dict[str, RefinedPolynomial]:
     """Decode entry lines in one ``json.loads`` pass: each line must hold
-    one ``{"key": ..., "poly": ...}`` object. A torn line leaves a string or
-    an object open and fails to parse; a line holding two values makes one
-    entry too many, which the count against the lines catches.
+    one ``[key, hi, coeffs]`` list. A torn line leaves a string or a list
+    open and fails to parse; a line holding two values makes one entry too
+    many, which the count against the lines catches.
 
-    Every exponent and coefficient string is checked at once, by one match
-    over all of them, each followed by a comma: a string holding a comma of
-    its own would add one, which the count of commas catches. The values
-    are decoded only where they are used (:class:`_Deferred`).
+    The JSON decoder has already checked that every integer is a decimal
+    one; what is left is checked in bulk, by the set of types in each
+    field: the key a ``str``, ``hi`` and every coefficient exactly an
+    ``int`` (so neither a bool nor a float) and ``coeffs`` a ``list``. The
+    values are built only where they are used (:class:`_Deferred`).
     """
     entries = json.loads("[" + ",".join(lines) + "]")
     if len(entries) != len(lines):
         raise ValueError(f"{len(entries)} values on {len(lines)} lines")
-    polys = list(map(itemgetter("poly"), entries))
-    try:
-        text = ",".join(chain(
-            chain.from_iterable(map(dict.keys, polys)),
-            chain.from_iterable(map(dict.values, polys)),
-            ("",),
-        ))
-        ok = _DECIMALS.fullmatch(text) and text.count(",") == 2 * sum(map(len, polys))
-    except TypeError:  # a poly that is not an object, or a non-string value
-        ok = False
-    if not ok:
-        raise _BadTerm(_bad_term(polys))
-    return dict(zip(map(itemgetter("key"), entries), map(_Deferred, polys)))
+    if not entries:
+        return {}
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {3}:
+        raise _BadEntry(_bad_entry(entries))
+    keys, his, coeffs = zip(*entries)
+    if (
+        set(map(type, keys)) != {str}
+        or set(map(type, his)) != {int}
+        or set(map(type, coeffs)) != {list}
+        or not set(map(type, chain.from_iterable(coeffs))) <= {int}
+    ):
+        raise _BadEntry(_bad_entry(entries))
+    return dict(zip(keys, map(_Deferred, his, coeffs)))
 
 
-def _bad_term(polys: List[dict]) -> str:
-    """Why the first bad poly of ``polys`` fails :func:`_decode_entries`'s
-    check, naming the value and where it is."""
-    for poly in polys:
-        if not isinstance(poly, dict):
-            return f"poly {json.dumps(poly)} is not an object"
-        for exponent, coefficient in poly.items():
-            where = f"of exponent {json.dumps(exponent)}"
-            if not isinstance(coefficient, str):
-                return f"coefficient {json.dumps(coefficient)} {where} is not a string"
-            if not _is_decimal(exponent):
-                return f"exponent {json.dumps(exponent)} is not a decimal integer"
-            if not _is_decimal(coefficient):
-                return f"coefficient {json.dumps(coefficient)} {where} is not a decimal integer"
-    return "a string is not a decimal integer"  # not reached
-
-
-def _is_decimal(text: str) -> bool:
-    return "," not in text and _DECIMALS.fullmatch(text + ",") is not None
+def _bad_entry(entries: list) -> str:
+    """Why the first bad entry of ``entries`` fails :func:`_decode_entries`'s
+    check, naming the value and its role: key, exponent (``hi``) or
+    coefficient."""
+    for entry in entries:
+        if type(entry) is not list or len(entry) != 3:
+            return f"entry {json.dumps(entry)} is not a [key, hi, coeffs] list"
+        key, hi, coeffs = entry
+        if type(key) is not str:
+            return f"key {json.dumps(key)} is not a string"
+        if type(hi) is not int:
+            return f"exponent {json.dumps(hi)} is not an integer"
+        if type(coeffs) is not list:
+            return f"coefficients {json.dumps(coeffs)} are not a list"
+        for exponent, coefficient in zip(range(hi, hi - 2 * len(coeffs), -2), coeffs):
+            if type(coefficient) is not int:
+                return (
+                    f"coefficient {json.dumps(coefficient)} of exponent {exponent} "
+                    "is not an integer"
+                )
+    return "an entry is malformed"  # not reached
 
 
 def _describe(exc: Exception) -> str:
-    if isinstance(exc, _BadTerm):
+    if isinstance(exc, _BadEntry):
         return str(exc)
     if isinstance(exc, json.JSONDecodeError):
         return f"invalid JSON: {exc.msg}"
@@ -290,9 +292,10 @@ def save_cache(path: str, cache: Dict[str, RefinedPolynomial]) -> None:
 
     The entries go to a temporary file in the target's directory, which then
     replaces the target in one rename, so readers and concurrent writers see
-    either the old file or a complete new one. A failure part way leaves the
-    old file untouched and removes the temporary one. Nothing is synced to
-    disk, so a power loss can still lose the latest save.
+    either the old file or a complete new one. A failure part way, such as a
+    value no entry can hold, leaves the old file untouched and removes the
+    temporary one. Nothing is synced to disk, so a power loss can still lose
+    the latest save.
     """
     # O_EXCL: a name clash fails instead of sharing a file; 0o666 lets the
     # umask set the mode, as a plain open() of the target would
@@ -301,20 +304,16 @@ def save_cache(path: str, cache: Dict[str, RefinedPolynomial]) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(json.dumps({"version": CACHE_VERSION}) + "\n")
-            # byte for byte what json.dumps gives for {"key": key, "poly":
-            # poly.to_json_dict()}, exponents descending: only the key can
-            # need escaping, since exponents and coefficients are decimal ints.
-            # A loaded entry is written from the strings it was read from,
-            # undecoded; for a file written here they are in that order.
+            # byte for byte what json.dumps gives for [key, hi, coeffs]: only
+            # the key can need escaping, and a list of ints prints as JSON
+            # does. A loaded entry is written from the hi and coefficients
+            # it was read from, without building its term map.
             for key, poly in sorted(cache.items()):
                 if type(poly) is _Deferred:
-                    pairs = poly._raw.items()
+                    hi, coeffs = poly._hi, poly._coeffs
                 else:
-                    pairs = sorted(poly.items(), reverse=True)
-                terms = ", ".join([f'"{k}": "{c}"' for k, c in pairs])
-                fh.write(
-                    f'{{"key": {encode_basestring_ascii(key)}, "poly": {{{terms}}}}}\n'
-                )
+                    hi, coeffs = _dense(key, poly)
+                fh.write(f"[{encode_basestring_ascii(key)}, {hi}, {coeffs}]\n")
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -411,6 +410,9 @@ def cmd_table(args) -> int:
     return 0
 
 
+# built once per process: in-process callers such as the benchmark call main
+# many times, and the parser holds no state of a call
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="refined-chord",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import repeat
-from typing import Callable, Dict, Iterator, Mapping, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Tuple
 
 
 class RefinedPolynomial:
@@ -194,25 +194,47 @@ class RefinedPolynomial:
 
 
 class _Deferred(RefinedPolynomial):
-    """The polynomial of ``raw``, a :meth:`RefinedPolynomial.to_json_dict`
-    form whose strings are all decimal integers, decoded on first use.
+    """The polynomial whose coefficient of ``q^((hi - 2i)/2)`` is
+    ``coeffs[i]``, for a list of ints ``coeffs``; its term map is built on
+    first use.
 
-    ``raw`` is kept, so a cache can write the value back without decoding
-    it. The decoding lives in this subclass because a class that defines
-    ``__getattr__`` takes a slower path for every attribute it reads.
+    ``hi`` and ``coeffs`` are kept, so a cache can write the value back
+    without building the map. The building lives in this subclass because
+    a class that defines ``__getattr__`` takes a slower path for every
+    attribute it reads.
     """
 
-    __slots__ = ("_raw",)
+    __slots__ = ("_hi", "_coeffs")
 
-    def __init__(self, raw: Dict[str, str]):
-        self._raw = raw
+    def __init__(self, hi: int, coeffs: List[int]):
+        self._hi = hi
+        self._coeffs = coeffs
 
     def __getattr__(self, name):
-        # only the unset _terms slot gets here; setting it decodes once
+        # only the unset _terms slot gets here; setting it builds the map once
         if name != "_terms":
             raise AttributeError(name)
-        terms = self._terms = RefinedPolynomial.from_json_dict(self._raw)._terms
+        hi = self._hi
+        exponents = range(hi, hi - 2 * len(self._coeffs), -2)
+        terms = self._terms = {k: c for k, c in zip(exponents, self._coeffs) if c}
         return terms
+
+
+def _dense(key: str, poly: RefinedPolynomial) -> Tuple[int, List[int]]:
+    """``poly`` as the ``(hi, coeffs)`` that :class:`_Deferred` takes and a
+    cache entry stores: ``hi`` its highest half-exponent and ``coeffs`` its
+    coefficients of ``q^((hi - 2i)/2)``, the zero polynomial ``(0, [])``.
+    Raises ``ValueError`` naming ``key`` if ``poly`` mixes integer and
+    half-integer exponents, which this form cannot hold."""
+    terms = dict(poly.items())
+    if not terms:
+        return 0, []
+    if len({k & 1 for k in terms}) > 1:
+        raise ValueError(
+            f"cache entry {key!r} mixes integer and half-integer exponents"
+        )
+    hi = max(terms)
+    return hi, [terms.get(k, 0) for k in range(hi, min(terms) - 1, -2)]
 
 
 def _power_text(half_exp: int):

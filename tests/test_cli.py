@@ -174,6 +174,31 @@ def test_verify_mismatch_exit_code(capsys, monkeypatch):
     assert "MISMATCH" in out
 
 
+def test_main_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    import refined_chord.cli as cli
+
+    parser = cli._build_parser()
+    built = cli._build_parser.cache_info().misses
+    path = tmp_path / "memo.jsonl"
+    assert main(["compute", "P2:2", "--cache-path", str(path)]) == 0
+    assert main(["compute", "P2:3", "--cache-path", str(path)]) == 0
+    assert cli._build_parser() is parser
+    assert cli._build_parser.cache_info().misses == built
+    assert capsys.readouterr().out.splitlines() == ["1", "q + 7 + q^-1"]
+    # the commands still look up what they call when they run
+    monkeypatch.setattr(
+        cli, "oracle_invariant", lambda d, seed=0, max_ends=10: RefinedPolynomial({0: 99})
+    )
+    assert main(["verify", "P2:1"]) == 1
+    assert cli._build_parser() is parser
+    assert "MISMATCH" in capsys.readouterr().out
+    # and the environment is read at call time
+    env_path = tmp_path / "env-memo.jsonl"
+    monkeypatch.setenv(CACHE_ENV, str(env_path))
+    assert main(["compute", "P2:2"]) == 0
+    assert env_path.exists()
+
+
 def test_table_single_row(capsys):
     assert main(["table", "--max-degree", "1"]) == 0
     assert capsys.readouterr().out.strip() == "N_1(1) = 1"
@@ -228,16 +253,14 @@ def test_cache_save_failure_keeps_old_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["memo.jsonl"]
 
 
-# the bytes save_cache wrote before the loader was rewritten; a faster
-# writer must not drift from them
+# the bytes of a version-2 file; a faster writer must not drift from them
 GOLDEN_CACHE = (
-    '{"version": 1}\n'
-    '{"key": "(-1,0);(-1,0);(-1,0);(0,-1);(0,-1);(0,-1);(1,1);(1,1);(1,1)", '
-    '"poly": {"2": "1", "0": "7", "-2": "1"}}\n'
-    '{"key": "(-2,0);(0,-2);(2,2)", '
-    '"poly": {"3": "1", "1": "1", "-1": "1", "-3": "1"}}\n'
-    '{"key": "big", "poly": {"3": "1000000000000000000000000000000", '
-    '"-3": "-1000000000000000000000000000000"}}\n'
+    '{"version": 2}\n'
+    '["(-1,0);(-1,0);(-1,0);(0,-1);(0,-1);(0,-1);(1,1);(1,1);(1,1)", '
+    '2, [1, 7, 1]]\n'
+    '["(-2,0);(0,-2);(2,2)", 3, [1, 1, 1, 1]]\n'
+    '["big", 3, [1000000000000000000000000000000, 0, 0, '
+    '-1000000000000000000000000000000]]\n'
 )
 GOLDEN_ENTRIES = {
     "(-1,0);(-1,0);(-1,0);(0,-1);(0,-1);(0,-1);(1,1);(1,1);(1,1)":
@@ -263,11 +286,23 @@ def test_cache_line_matches_json_dumps(tmp_path, key):
     path = tmp_path / "memo.jsonl"
     save_cache(str(path), {key: poly})
     expected = (
-        json.dumps({"version": 1}) + "\n"
-        + json.dumps({"key": key, "poly": poly.to_json_dict()}) + "\n"
+        json.dumps({"version": 2}) + "\n"
+        + json.dumps([key, 3, [10**30, 2, 2, 10**30]]) + "\n"
     )
     assert path.read_bytes() == expected.encode("utf-8")
     assert load_cache(str(path)) == {key: poly}
+
+
+def test_cache_save_refuses_mixed_parity_and_keeps_old_file(tmp_path):
+    # a line holds the coefficients of every other half-exponent only
+    path = tmp_path / "memo.jsonl"
+    save_cache(str(path), GOLDEN_ENTRIES)
+    before = path.read_bytes()
+    cache = {**load_cache(str(path)), "mixed": RefinedPolynomial({1: 1, 0: 1, -1: 1})}
+    with pytest.raises(ValueError, match="'mixed'"):
+        save_cache(str(path), cache)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["memo.jsonl"]
 
 
 @pytest.mark.parametrize(
@@ -284,7 +319,7 @@ def test_cache_loader_tolerates_whitespace(tmp_path, edit):
     path = tmp_path / "memo.jsonl"
     path.write_bytes(edit(GOLDEN_CACHE).encode("utf-8"))
     assert load_cache(str(path)) == GOLDEN_ENTRIES
-    # entries are written back from the strings they were read from
+    # entries are written back from the values they were read from
     save_cache(str(path), load_cache(str(path)))
     assert path.read_bytes() == GOLDEN_CACHE.encode("utf-8")
 
@@ -293,66 +328,62 @@ def test_cache_loader_empty_file(tmp_path):
     path = tmp_path / "memo.jsonl"
     path.write_text("")
     assert load_cache(str(path)) == {}
-    path.write_text('{"version": 1}\n')
+    path.write_text('{"version": 2}\n')
     assert load_cache(str(path)) == {}
 
 
 def test_cache_loader_zero_polynomials(tmp_path):
-    # a vanishing invariant is stored as an empty poly; a file may hold only such
+    # a vanishing invariant is stored with no coefficients; a file may hold
+    # only such
     path = tmp_path / "memo.jsonl"
-    text = '{"version": 1}\n{"key": "a", "poly": {}}\n{"key": "b", "poly": {}}\n'
+    text = '{"version": 2}\n["a", 0, []]\n["b", 0, []]\n'
     path.write_text(text)
     loaded = load_cache(str(path))
     assert loaded == {"a": RefinedPolynomial(), "b": RefinedPolynomial()}
     save_cache(str(path), loaded)
     assert path.read_text() == text
-    path.write_text(GOLDEN_CACHE + '{"key": "zero", "poly": {}}\n')
+    save_cache(str(path), {"a": RefinedPolynomial(), "b": RefinedPolynomial()})
+    assert path.read_text() == text
+    path.write_text(GOLDEN_CACHE + '["zero", 0, []]\n')
     assert load_cache(str(path)) == {**GOLDEN_ENTRIES, "zero": RefinedPolynomial()}
 
 
-_ENTRY = '{"key": "(-1,0);(0,-1);(1,1)", "poly": {"0": "1"}}'
-_OTHER = '{"key": "(-2,0);(0,-2);(2,2)", "poly": {"1": "1", "-1": "1"}}'
+_HEADER = '{"version": 2}\n'
+_ENTRY = '["(-1,0);(0,-1);(1,1)", 0, [1]]'
+_OTHER = '["(-2,0);(0,-2);(2,2)", 1, [1, 1]]'
 
 MALFORMED_CACHES = {
     # name: (file contents, number of the line named in the error)
-    "array-entry": ('{"version": 1}\n[1, 2]\n', 2),
-    "no-poly": ('{"version": 1}\n' + _ENTRY + '\n{"key": "k"}\n', 3),
-    "no-key": ('{"version": 1}\n{"poly": {"0": "1"}}\n', 2),
-    "poly-not-object": ('{"version": 1}\n{"key": "k", "poly": [1]}\n', 2),
+    # a version-1 entry under a version-2 header
+    "array-entry": (_HEADER + '{"key": "k", "poly": {"0": "1"}}\n', 2),
+    "no-poly": (_HEADER + _ENTRY + '\n["k", 0]\n', 3),
+    "no-key": (_HEADER + '[0, [1]]\n', 2),
+    "poly-not-object": (_HEADER + '["k", 0, {"0": 1}]\n', 2),
+    "extra-field": (_HEADER + '["k", 0, [1], 1]\n', 2),
+    "number-key": (_HEADER + '[5, 0, []]\n', 2),
     "array-header": ('[1]\n' + _ENTRY + '\n', 1),
     "no-version": ('{}\n' + _ENTRY + '\n', 1),
-    "blank-header": ('\n{"version": 1}\n' + _ENTRY + '\n', 1),
-    "two-entries": ('{"version": 1}\n' + _ENTRY + ", " + _OTHER + "\n", 2),
-    "entry-over-two-lines": (
-        '{"version": 1}\n' + _ENTRY[:-2] + "\n" + _ENTRY[-2:] + "\n", 2
-    ),
-    "torn-last-line": ('{"version": 1}\n' + _ENTRY + "\n" + _OTHER[:30], 3),
-    "non-integer-coefficient": (
-        '{"version": 1}\n\n{"key": "k", "poly": {"0": "1.5"}}\n', 3
-    ),
-    # int() would read these as 1; a coefficient must be a JSON string
-    "float-coefficient": (
-        '{"version": 1}\n' + _ENTRY + '\n{"key": "k", "poly": {"0": 1.5}}\n', 3
-    ),
-    "boolean-coefficient": (
-        '{"version": 1}\n{"key": "k", "poly": {"0": "1", "2": true}}\n', 2
-    ),
-    # int(x, 10) reads these, but save_cache never writes them
-    "plus-coefficient": ('{"version": 1}\n{"key": "k", "poly": {"0": "+5"}}\n', 2),
-    "space-coefficient": ('{"version": 1}\n{"key": "k", "poly": {"0": " 5"}}\n', 2),
-    "underscore-coefficient": (
-        '{"version": 1}\n{"key": "k", "poly": {"0": "1_0"}}\n', 2
-    ),
-    "non-ascii-coefficient": (
-        '{"version": 1}\n' + _ENTRY + '\n{"key": "k", "poly": {"0": "\\u0665"}}\n', 3
-    ),
-    "non-decimal-exponent": (
-        '{"version": 1}\n{"key": "k", "poly": {"0": "1", "+2": "1"}}\n', 2
-    ),
-    # one string holding two integers, which a plain match of the joined
-    # strings would read as two
-    "comma-coefficient": ('{"version": 1}\n{"key": "k", "poly": {"0": "1,2"}}\n', 2),
-    "empty-coefficient": ('{"version": 1}\n{"key": "k", "poly": {"0": ""}}\n', 2),
+    "blank-header": ('\n' + _HEADER + _ENTRY + '\n', 1),
+    "two-entries": (_HEADER + _ENTRY + ", " + _OTHER + "\n", 2),
+    "entry-over-two-lines": (_HEADER + _ENTRY[:-2] + "\n" + _ENTRY[-2:] + "\n", 2),
+    "torn-last-line": (_HEADER + _ENTRY + "\n" + _OTHER[:30], 3),
+    "non-integer-coefficient": (_HEADER + '\n["k", 0, ["1.5"]]\n', 3),
+    # int() would read these as 1; a coefficient must be a JSON integer
+    "float-coefficient": (_HEADER + _ENTRY + '\n["k", 0, [1.5]]\n', 3),
+    "boolean-coefficient": (_HEADER + '["k", 2, [true, 0, 1]]\n', 2),
+    "float-exponent": (_HEADER + '["k", 0.0, [1]]\n', 2),
+    "boolean-exponent": (_HEADER + '["k", false, [1]]\n', 2),
+    # Python's int() reads these, but JSON has no such integers
+    "plus-coefficient": (_HEADER + '["k", 0, [+5]]\n', 2),
+    "space-coefficient": (_HEADER + '["k", 0, [" 5"]]\n', 2),
+    "underscore-coefficient": (_HEADER + '["k", 0, [1_0]]\n', 2),
+    "non-ascii-coefficient": (_HEADER + _ENTRY + '\n["k", 0, ["\\u0665"]]\n', 3),
+    "non-decimal-exponent": (_HEADER + '["k", "+2", [1]]\n', 2),
+    # one string holding two integers
+    "comma-coefficient": (_HEADER + '["k", 0, ["1,2"]]\n', 2),
+    "empty-coefficient": (_HEADER + '["k", 0, [1, , 1]]\n', 2),
+    # past the decoder's 4,300-digit limit; no computed value comes near it
+    "long-coefficient": (_HEADER + _ENTRY + '\n["k", 0, [' + "7" * 5000 + ']]\n', 3),
 }
 
 
@@ -368,30 +399,41 @@ def test_cache_loader_rejects_malformed_line(tmp_path, name):
 @pytest.mark.parametrize(
     "name,reason",
     [
-        ("float-coefficient", 'coefficient 1.5 of exponent "0" is not a string'),
-        ("boolean-coefficient", 'coefficient true of exponent "2" is not a string'),
+        ("float-coefficient", "coefficient 1.5 of exponent 0 is not an integer"),
+        ("boolean-coefficient", "coefficient true of exponent 2 is not an integer"),
         (
             "non-integer-coefficient",
-            'coefficient "1.5" of exponent "0" is not a decimal integer',
+            'coefficient "1.5" of exponent 0 is not an integer',
         ),
         (
             "non-ascii-coefficient",
-            'coefficient "\\u0665" of exponent "0" is not a decimal integer',
+            'coefficient "\\u0665" of exponent 0 is not an integer',
         ),
-        (
-            "comma-coefficient",
-            'coefficient "1,2" of exponent "0" is not a decimal integer',
-        ),
-        ("non-decimal-exponent", 'exponent "+2" is not a decimal integer'),
+        ("comma-coefficient", 'coefficient "1,2" of exponent 0 is not an integer'),
+        ("non-decimal-exponent", 'exponent "+2" is not an integer'),
+        ("boolean-exponent", "exponent false is not an integer"),
+        ("number-key", "key 5 is not a string"),
+        ("poly-not-object", 'coefficients {"0": 1} are not a list'),
+        ("no-poly", 'entry ["k", 0] is not a [key, hi, coeffs] list'),
     ],
 )
 def test_cache_loader_names_non_string_coefficient(tmp_path, name, reason):
+    # each message names the bad value and its role: key, exponent (hi) or
+    # coefficient
     text, line = MALFORMED_CACHES[name]
     path = tmp_path / "memo.jsonl"
     path.write_text(text)
     with pytest.raises(CacheFormatError) as info:
         load_cache(str(path))
     assert str(info.value) == f"{path}: line {line} is not a cache entry ({reason})"
+
+
+def test_cache_loader_names_the_digit_limit(tmp_path):
+    text, line = MALFORMED_CACHES["long-coefficient"]
+    path = tmp_path / "memo.jsonl"
+    path.write_text(text)
+    with pytest.raises(CacheFormatError, match=f"line {line} .*4300 digits"):
+        load_cache(str(path))
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_CACHES))
@@ -420,6 +462,20 @@ def test_cache_version_rejected(tmp_path):
         load_cache(str(path))
 
 
+def test_cache_version_1_is_refused_as_deletable(tmp_path, capsys):
+    # no version-1 reader: the file is a memo, so the message says to delete it
+    path = tmp_path / "memo.jsonl"
+    text = '{"version": 1}\n{"key": "(-1,0);(0,-1);(1,1)", "poly": {"0": "1"}}\n'
+    path.write_text(text)
+    with pytest.raises(CacheVersionError, match="older release.*can be deleted"):
+        load_cache(str(path))
+    assert main(["compute", "P2:3", "--cache-path", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: cache version 1 ")
+    assert path.read_text() == text
+
+
 def test_compute_writes_and_reuses_cache(tmp_path, capsys):
     path = tmp_path / "memo.jsonl"
     assert main(["compute", "P2:3", "--cache-path", str(path)]) == 0
@@ -442,11 +498,12 @@ def test_compute_cache_hit_leaves_file_alone(tmp_path, capsys):
 
 
 def test_compute_refuses_unpackable_cached_subdegree(tmp_path, capsys):
-    # mixed parity would merge slots of the packed recursion; load_cache
-    # accepts the file, and the entry is refused where it is used
+    # the packed recursion takes -hi for the lowest exponent, which holds
+    # only for a palindromic value; load_cache accepts the file, and the
+    # entry is refused where it is used
     path = tmp_path / "memo.jsonl"
     key = "(-1,0);(0,-1);(1,1)"
-    save_cache(str(path), {key: RefinedPolynomial({1: 1, 0: 1, -1: 1})})
+    save_cache(str(path), {key: RefinedPolynomial({2: 1, 0: 7})})
     before = path.read_bytes()
     assert main(["compute", "P2:3", "--cache-path", str(path)]) == 2
     assert key in capsys.readouterr().err
@@ -457,7 +514,7 @@ def test_compute_refuses_unpackable_cached_top_level_value(tmp_path, capsys):
     # a hit on the computed degree's own key is checked as a sub-degree hit is
     path = tmp_path / "memo.jsonl"
     key = "(-1,0);(-1,0);(-1,0);(0,-1);(0,-1);(0,-1);(1,1);(1,1);(1,1)"
-    save_cache(str(path), {key: RefinedPolynomial({1: 1, 0: 1, -1: 1})})
+    save_cache(str(path), {key: RefinedPolynomial({2: 1, 0: 7})})
     before = path.read_bytes()
     assert main(["compute", "P2:3", "--cache-path", str(path)]) == 2
     captured = capsys.readouterr()
@@ -481,6 +538,37 @@ def test_compute_miss_resaves_loaded_entries_as_an_eager_save(tmp_path, capsys):
     save_cache(str(tmp_path / "eager.jsonl"), eager)
     assert path.read_bytes() == (tmp_path / "eager.jsonl").read_bytes()
     assert capsys.readouterr().out.splitlines()[1] == refined_invariant(d).to_text()
+
+
+def test_compute_on_the_benchmark_cache_resaves_as_an_eager_save(tmp_path, capsys):
+    # the 318-entry file the cli-warm benchmark starts from: a miss, then a
+    # hit, leave the bytes an eager save of the same values gives
+    reference = os.path.join(
+        os.path.dirname(__file__), "..", "perfbench", "reference.json"
+    )
+    with open(reference, encoding="utf-8") as fh:
+        prefill = json.load(fh)["prefill"]
+    path = tmp_path / "memo.jsonl"
+    save_cache(str(path), {
+        canonical_key(make_degree([tuple(v) for v in vecs])):
+            RefinedPolynomial({int(k): c for k, c in terms.items()})
+        for vecs, terms in prefill
+    })
+    eager = {
+        key: RefinedPolynomial(dict(poly.items()))
+        for key, poly in load_cache(str(path)).items()
+    }
+    assert len(eager) == 318
+    assert main(["compute", "P1xP1:2,3", "--cache-path", str(path)]) == 0
+    assert main(["compute", "P2:4", "--cache-path", str(path)]) == 0
+    d = parse_degree("P1xP1:2,3")
+    eager.setdefault(canonical_key(d), refined_invariant(d, cache=eager))
+    save_cache(str(tmp_path / "eager.jsonl"), eager)
+    assert path.read_bytes() == (tmp_path / "eager.jsonl").read_bytes()
+    assert capsys.readouterr().out.splitlines() == [
+        refined_invariant(d).to_text(),
+        refined_invariant(parse_degree("P2:4")).to_text(),
+    ]
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

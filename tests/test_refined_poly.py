@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from refined_chord import RefinedPolynomial
 from refined_chord.lattice import omega
-from refined_chord.refined_poly import _Deferred, _pack, q_analog
+from refined_chord.refined_poly import _Deferred, _dense, _pack, q_analog
 
 P = RefinedPolynomial
 
@@ -165,9 +165,10 @@ def test_from_json_dict_rejects_non_string_items(data):
     ids=["zero", "one", "cubic", "half-integer", "big"],
 )
 def test_deferred_polynomial_behaves_as_eager(eager):
-    # built the way load_cache builds its values, from checked strings
+    # built the way load_cache builds its values, from the hi and
+    # coefficients that save_cache writes
     def lazy():
-        return _Deferred(eager.to_json_dict())
+        return _Deferred(*_dense("k", eager))
 
     assert lazy() == eager and eager == lazy() and lazy() == lazy()
     assert lazy() != eager + 1 and not (lazy() == eager + 1)
@@ -186,7 +187,10 @@ def test_deferred_polynomial_behaves_as_eager(eager):
 
 
 def test_deferred_polynomial_drops_zero_coefficients():
-    assert _Deferred({"2": "0", "0": "5", "-2": "-0"}) == P({0: 5})
+    lazy = _Deferred(4, [1, 0, 0, 0, 1])
+    assert lazy == P({4: 1, -4: 1})
+    assert dict(lazy.items()) == {4: 1, -4: 1}
+    assert _Deferred(0, []).is_zero()
 
 
 def test_integer_coercion():
