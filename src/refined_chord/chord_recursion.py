@@ -36,8 +36,9 @@ and in every sub-degree; the test suite checks this rather than assuming it.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
-from math import comb, gcd
+from itertools import compress, product
+from math import comb, gcd, prod
+from operator import sub
 from typing import Dict, Optional, Tuple
 
 from .lattice import Degree, Vec, omega, vectors_key
@@ -54,9 +55,9 @@ from .refined_poly import (
 
 _ONE = RefinedPolynomial.one()
 
-# suffix states stored per top-level call, about 0.6 KB each: P2:10 keeps
-# 41,777 (41 MB peak, 3.5 s) and P2:11 116,914 (60 MB peak, 12 s), so no
-# triangle degree up to 11 reaches the guard. Clearing costs time, not values.
+# memo entries per top-level call, of every kind: P2:10 peaks at 87,756 (57 MB
+# peak, 2.1 s) and P2:11 at 139,340 (81 MB, 8 s), so no triangle degree up
+# to 11 reaches the guard. Clearing costs time, not values.
 SUFFIX_MEMO_GUARD = 250_000
 
 
@@ -106,6 +107,13 @@ def _sub_multisets(pool):
         yield tuple(block), rest, (ux, uy)
 
 
+def _remember(memo, key, value) -> None:
+    """``memo[key] = value``, clearing ``memo`` first if it is full."""
+    if len(memo) >= SUFFIX_MEMO_GUARD:
+        memo.clear()
+    memo[key] = value
+
+
 def _default_ends(
     vectors: Tuple[Vec, ...],
     v1: Optional[Vec] = None,
@@ -127,14 +135,16 @@ def _default_ends(
     """
     counts = Counter(vectors)
     values = sorted(counts)
+    total = len(counts)
     best = None
     for a in values if v1 is None else (v1,):
         for b in values if vm is None else (vm,):
-            if a == b and counts[a] < 2:
+            if a != b:
+                distinct = total - (counts[a] == 1) - (counts[b] == 1)
+            elif counts[a] < 2:
                 continue
-            distinct = sum(
-                1 for v, c in counts.items() if c - (v == a) - (v == b) > 0
-            )
+            else:
+                distinct = total - (counts[a] == 2)
             cand = (distinct, b != parent_vm, omega(a, b) > 0, a, b)
             if best is None or cand < best:
                 best = cand
@@ -245,9 +255,10 @@ def _packed_invariant(vectors, cache, memo, bits, parent_vm) -> Packed:
     coordinates, and the packed value is stored under both memo keys. Every
     miss of ``cache`` writes the value there once under the own key, so a
     class hit adds the entry a solve would have. A memo key, the form
-    included, is a sorted vector tuple, so it cannot equal a suffix state of
-    :func:`_chord_sum`: a state's second item is a nonempty tuple of
-    ``(vector, count)`` pairs, where a vector tuple has a vector of two ints.
+    included, is a sorted vector tuple, so it cannot equal a suffix state or
+    block summand key of :func:`_chord_sum`: their second item is a nonempty
+    tuple of ``(vector, count)`` pairs, where a vector tuple has a vector of
+    two ints.
     """
     packed = memo.get(vectors)
     if packed is None:
@@ -259,11 +270,11 @@ def _packed_invariant(vectors, cache, memo, bits, parent_vm) -> Packed:
             if packed is None:
                 ends = _default_ends(vectors, parent_vm=parent_vm)
                 packed = _chord_sum(vectors, *ends, cache, memo, bits)
-                memo[form] = packed
+                _remember(memo, form, packed)
             cache[key] = _unpack(packed, bits)
         else:
             packed = _pack(key, hit, bits)
-        memo[vectors] = packed
+        _remember(memo, vectors, packed)
     return packed
 
 
@@ -276,7 +287,10 @@ def _chord_sum(vectors, v1, vm, cache, memo, bits) -> Packed:
     choice of the next group only interacts with the past through the
     remaining pool, the direction of the previous ``sigma*u`` and the
     previous block key, so suffix sums are memoized on that state; the
-    chord slope ``w`` is itself a function of the remaining pool.
+    chord slope ``w`` is itself a function of the remaining pool. The last
+    two only decide which blocks a state admits, so ``block_summand``
+    memoizes a block's summand, over every run length ``r``, under
+    ``(vm, pool, take vector)`` for every state that admits the block.
 
     A state never depends on ``v1``: the degree sums to zero, so
     ``w = vm + sum(remaining pool)``. One ``memo`` therefore serves every
@@ -285,28 +299,31 @@ def _chord_sum(vectors, v1, vm, cache, memo, bits) -> Packed:
     :func:`_default_ends`), so where its pool allows, it ends its chord in
     the same ``vm`` and meets states already summed. The memo is
     created by :func:`_solve` and dropped when that call returns, never
-    stored in ``cache`` (which callers persist), and cleared whenever it
-    reaches ``SUFFIX_MEMO_GUARD`` states, which costs time but changes no
-    value. ``suffix_sum`` refers to itself through its closure cell, a
-    reference cycle that would keep the memo alive until the cyclic garbage
-    collector runs; deleting the name on exit breaks the cycle, so reference
-    counting frees the memo as soon as the call returns.
+    stored in ``cache`` (which callers persist), and cleared before a store
+    whenever it holds ``SUFFIX_MEMO_GUARD`` entries of any kind, which costs
+    time but changes no value. ``suffix_sum`` and ``block_summand`` refer to
+    each other through their closure cells, a reference cycle that would
+    keep the memo alive until the cyclic garbage collector runs; deleting
+    both names on exit breaks the cycle, so reference counting frees the
+    memo as soon as the call returns.
 
     Values are packed as ``(n, hi, e1)``, one int of coefficient slots with
     the highest half-exponent and the exact value at q = 1 (see
     :mod:`refined_chord.refined_poly`): a product is one bigint multiply and
-    a sum a shift-add. ``e1 < 2**bits`` at every stored total proves that no
-    slot carried; otherwise :class:`_SlotOverflow` makes :func:`_solve`
-    retry with the slots twice as wide. A summand whose ``e1`` is 0 (some
+    a sum a shift-add. ``e1 < 2**bits`` at every stored state total proves
+    that no slot carried, in it or in the summands it adds up; otherwise
+    :class:`_SlotOverflow` makes :func:`_solve` retry with the slots twice
+    as wide. A summand whose ``e1`` is 0 (some
     sub-degree invariants vanish) is skipped, since its ``hi`` means nothing
     and would shift the sum; a block whose own sub-degree invariant vanishes
     is skipped before its tails are summed. Sub-degree values enter through
     :func:`_packed_invariant`, which looks each up in ``memo`` under its
     sorted vector tuple, then in ``cache``, then in ``memo`` under its
-    GL2(Z) normal form, and solves it only when all three miss; both memo
-    keys are vector tuples, never equal to a 4-item suffix state whose
-    second item is a tuple of ``(vector, count)`` pairs. ``cache`` keeps
-    only unpacked polynomials.
+    GL2(Z) normal form, and solves it only when all three miss. The memo's
+    keys are distinct by shape: suffix states have 4 items and block
+    summand keys 3, and both have a nonempty tuple of ``(vector, count)``
+    pairs as second item, where a sub-degree's vector tuple has a vector of
+    two ints. ``cache`` keeps only unpacked polynomials.
 
     The weight of a run of ``r`` identical blocks, taking ``t_v`` of each
     vector ``v`` from a pool of ``c_v``, is ``fam_r = fam_(r-1) * X_r / r``
@@ -316,13 +333,14 @@ def _chord_sum(vectors, v1, vm, cache, memo, bits) -> Packed:
 
     Candidate blocks are streamed as per-vector take counts with the block
     size ``n`` and ``u`` kept as running sums, and rejected in this order,
-    the first three before any tuple is built: ``sigma == 0``; ``sigma > 0``
-    with ``n > 1``; ``omega(prev_su_dir, u) * sigma < 0``; and, for ``u``
+    the first three before the block tuple is built: ``sigma == 0``;
+    ``sigma > 0`` with ``n > 1``; ``omega(prev_su_dir, u) * sigma < 0``; and, for ``u``
     colinear with the previous ``sigma*u``, ``block <= prev_key``. The tie
     rule is ``<=`` where the decomposition stream of
     ``tests/decomposition_reference.py`` uses ``<``, because the ``r`` loop
     already takes a run of identical blocks together, so letting an equal
-    block follow would count that run a second time.
+    block follow would count that run a second time. A summand found in
+    the memo needs no block tuple.
     """
     pool_items = tuple(sorted(_remove_ends(vectors, v1, vm).items()))
     total_len = len(vectors)
@@ -332,8 +350,7 @@ def _chord_sum(vectors, v1, vm, cache, memo, bits) -> Packed:
         hit = memo.get(state)
         if hit is not None:
             return hit
-        vecs = [v for v, _ in pool_items]
-        counts = [c for _, c in pool_items]
+        vecs, counts = zip(*pool_items)
         k = len(counts)
         w0, w1 = w
         acc = hi = e1 = 0
@@ -360,76 +377,101 @@ def _chord_sum(vectors, v1, vm, cache, memo, bits) -> Packed:
             sigma = w0 * uy - w1 * ux  # omega(w, u)
             if sigma == 0 or (sigma > 0 and n > 1):
                 continue
-            cross = None
             if prev_su_dir is not None:
                 cross = prev_su_dir[0] * uy - prev_su_dir[1] * ux
                 if cross * sigma < 0:
                     continue
-            block = ()
-            for v, t in zip(vecs, takes):
-                if t:
-                    block += (v,) * t
-            if cross == 0 and block <= prev_key:
+                if cross == 0:
+                    block = ()
+                    for v, t in zip(vecs, takes):
+                        if t:
+                            block += (v,) * t
+                    if block <= prev_key:
+                        continue
+            key = (vm, pool_items, tuple(takes))
+            summand = memo.get(key)
+            if summand is None:
+                summand = block_summand(key, vecs, counts, n, ux, uy, sigma, w0, w1)
+            sn, sh, se = summand
+            if not se:
+                continue  # a vanishing summand's hi means nothing
+            if not e1:
+                acc, hi, e1 = summand
                 continue
-            fn, fh, fe = _packed_q_analog(abs(sigma), bits)
-            if n > 1:
-                closed = block + ((ux, uy),)
-                assert len(closed) < total_len
-                sn, sh, se = _packed_invariant(
-                    tuple(sorted(closed)), cache, memo, bits, vm
-                )
-                if not se:
-                    continue  # every summand of this block vanishes
-                fn *= sn
-                fh += sh
-                fe *= se
-            taken = [(c, t) for c, t in zip(counts, takes) if t]
-            max_r = min([c // t for c, t in taken])
-            su_dir = _primitive((sigma * ux, sigma * uy))
-            # identical blocks repeat with the same sigma; take r at once
-            tn, th, te = fn, fh, fe
-            fam = 1
-            for r in range(1, max_r + 1):
-                if r > 1:
-                    tn *= fn
-                    th += fh
-                    te *= fe
-                for c, t in taken:
-                    fam *= comb(c - (r - 1) * t, t)
-                fam //= r
-                rest = tuple([
-                    (v, c - r * t)
-                    for v, c, t in zip(vecs, counts, takes)
-                    if c - r * t > 0
-                ])
-                w_next = (w0 + r * ux, w1 + r * uy)
-                if rest:
-                    xn, xh, xe = suffix_sum(rest, w_next, su_dir, block)
-                    sn, sh, se = fam * tn * xn, th + xh, fam * te * xe
-                else:
-                    assert w_next == vm
-                    sn, sh, se = fam * tn, th, fam * te
-                if not se:
-                    continue  # a vanishing summand's hi means nothing
-                if not e1:
-                    acc, hi, e1 = sn, sh, se
-                    continue
-                assert (hi - sh) % 2 == 0
-                if sh <= hi:
-                    acc += sn << (bits * ((hi - sh) >> 1))
-                else:
-                    acc = (acc << (bits * ((sh - hi) >> 1))) + sn
-                    hi = sh
-                e1 += se
+            assert (hi - sh) % 2 == 0
+            if sh <= hi:
+                acc += sn << (bits * ((hi - sh) >> 1))
+            else:
+                acc = (acc << (bits * ((sh - hi) >> 1))) + sn
+                hi = sh
+            e1 += se
         if e1 >> bits:
             raise _SlotOverflow
         total = (acc, hi, e1)
-        if len(memo) >= SUFFIX_MEMO_GUARD:
+        if len(memo) >= SUFFIX_MEMO_GUARD:  # _remember, inlined
             memo.clear()
         memo[state] = total
+        return total
+
+    def block_summand(key, vecs, counts, n, ux, uy, sigma, w0, w1):
+        # every run of r >= 1 blocks taking key[2] from the pool, summed
+        takes = key[2]
+        block = ()
+        for v, t in zip(vecs, takes):
+            if t:
+                block += (v,) * t
+        fn, fh, fe = _packed_q_analog(abs(sigma), bits)
+        acc = hi = e1 = 0
+        if n > 1:
+            closed = block + ((ux, uy),)
+            assert len(closed) < total_len
+            sn, sh, se = _packed_invariant(
+                tuple(sorted(closed)), cache, memo, bits, vm
+            )
+            fn *= sn
+            fh += sh
+            fe *= se
+        # identical blocks repeat with the same sigma; take r at once
+        max_r = min([c // t for c, t in zip(counts, takes) if t]) if fe else 0
+        g = gcd(ux, uy) if sigma > 0 else -gcd(ux, uy)
+        su_dir = (ux // g, uy // g)  # primitive(sigma * u)
+        tn, th, te = fn, fh, fe
+        fam = 1
+        left = counts
+        for r in range(1, max_r + 1):
+            if r > 1:
+                tn *= fn
+                th += fh
+                te *= fe
+            fam = fam * prod(map(comb, left, takes)) // r
+            left = list(map(sub, left, takes))
+            rest = tuple(compress(zip(vecs, left), left))
+            w_next = (w0 + r * ux, w1 + r * uy)
+            if rest:
+                xn, xh, xe = suffix_sum(rest, w_next, su_dir, block)
+                if not xe:
+                    continue  # a vanishing summand's hi means nothing
+                sn, sh, se = fam * tn * xn, th + xh, fam * te * xe
+            else:
+                assert w_next == vm
+                sn, sh, se = fam * tn, th, fam * te
+            if not e1:
+                acc, hi, e1 = sn, sh, se
+                continue
+            assert (hi - sh) % 2 == 0
+            if sh <= hi:
+                acc += sn << (bits * ((hi - sh) >> 1))
+            else:
+                acc = (acc << (bits * ((sh - hi) >> 1))) + sn
+                hi = sh
+            e1 += se
+        total = (acc, hi, e1)
+        if len(memo) >= SUFFIX_MEMO_GUARD:  # _remember, inlined
+            memo.clear()
+        memo[key] = total
         return total
 
     try:
         return suffix_sum(pool_items, (-v1[0], -v1[1]), None, None)
     finally:
-        del suffix_sum
+        del suffix_sum, block_summand

@@ -161,15 +161,6 @@ def _parse_vector_list(s: str) -> Degree:
     return make_degree(vecs)
 
 
-def render_degree(d: Degree) -> str:
-    """Vector-list form with grouped multiplicities; parses back to ``d``."""
-    parts = []
-    for v, grp in groupby(d.vectors):
-        k = len(list(grp))
-        parts.append(f"({v[0]},{v[1]})" + (f"^{k}" if k > 1 else ""))
-    return ",".join(parts)
-
-
 # -- persistent memo store ---------------------------------------------------
 
 

@@ -15,7 +15,6 @@ between the two and are the only definition of that form.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
 from typing import Callable, Dict, Iterator, List, Mapping, Tuple
 
 
@@ -171,21 +170,6 @@ class RefinedPolynomial:
     def to_json_dict(self) -> Dict[str, str]:
         """JSON form: half-exponent and coefficient both as decimal strings."""
         return {str(k): str(self._terms[k]) for k in self.support}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, str]) -> "RefinedPolynomial":
-        """Inverse of :meth:`to_json_dict`; zero coefficients are dropped.
-
-        Every exponent and coefficient must be a string, as JSON writes
-        them: ``int(x)`` would read ``1.5`` and ``true`` as 1, while
-        ``int(x, 10)`` raises ``TypeError`` for anything but a string (or
-        bytes, which JSON never gives), at no cost beyond the parse.
-        """
-        ten = repeat(10)
-        terms = dict(zip(map(int, data, ten), map(int, data.values(), ten)))
-        if 0 in terms.values():
-            terms = {k: c for k, c in terms.items() if c}
-        return cls._adopt(terms)
 
     def __repr__(self):
         return f"RefinedPolynomial({self.to_text()!r})"

@@ -262,6 +262,46 @@ def test_default_ends_tie_break():
     assert _default_ends(tuple(reversed(fan)), parent_vm=(1, 2)) == ((1, -2), (1, 2))
 
 
+def _default_ends_by_definition(vectors, v1=None, vm=None, parent_vm=None):
+    # the O(k^3) count of distinct vectors left that _default_ends replaced
+    # by its closed form; everything else as in _default_ends
+    counts = Counter(vectors)
+    values = sorted(counts)
+    best = None
+    for a in values if v1 is None else (v1,):
+        for b in values if vm is None else (vm,):
+            if a == b and counts[a] < 2:
+                continue
+            distinct = sum(
+                1 for v, c in counts.items() if c - (v == a) - (v == b) > 0
+            )
+            cand = (distinct, b != parent_vm, omega(a, b) > 0, a, b)
+            if best is None or cand < best:
+                best = cand
+    return best[3], best[4]
+
+
+small_vecs = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+@st.composite
+def end_choices(draw):
+    vectors = tuple(sorted(draw(st.lists(small_vecs, min_size=2, max_size=9))))
+    given_end = st.none() | st.sampled_from(vectors)
+    v1, vm = draw(given_end), draw(given_end)
+    assume(v1 is None or v1 != vm or vectors.count(v1) > 1)
+    return vectors, v1, vm, draw(st.none() | small_vecs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(end_choices())
+def test_default_ends_closed_form_matches_definition(case):
+    vectors, v1, vm, parent_vm = case
+    assert _default_ends(vectors, v1, vm, parent_vm) == _default_ends_by_definition(
+        vectors, v1, vm, parent_vm
+    )
+
+
 def test_reference_values_reproduced():
     # every value the benchmark checks against, recomputed cold
     path = os.path.join(
@@ -392,6 +432,42 @@ def test_suffix_memo_guard_changes_no_value(monkeypatch):
     monkeypatch.setattr(chord_recursion, "SUFFIX_MEMO_GUARD", 1)
     for name, d in CORPUS:
         assert refined_invariant(d, cache={}) == pinned[name], name
+
+
+def test_suffix_memo_guard_bounds_states_and_summands(monkeypatch):
+    # the guard counts every memo entry: suffix states, block summands and
+    # sub-degree values; clearing them changes no value
+    d = parse_degree("P2:6")
+    sizes, shapes = [], Counter()
+
+    class Watched(dict):
+        def __setitem__(self, key, value):
+            dict.__setitem__(self, key, value)
+            sizes.append(len(self))
+            shapes[len(key) if isinstance(key[1][0], tuple) else "vectors"] += 1
+
+    real = chord_recursion._chord_sum
+
+    def spy(vectors, v1, vm, cache, memo, bits):
+        if type(memo) is dict:  # the fresh memo of a top-level solve
+            memo = Watched()
+        return real(vectors, v1, vm, cache, memo, bits)
+
+    monkeypatch.setattr(chord_recursion, "_chord_sum", spy)
+    monkeypatch.setattr(chord_recursion, "SUFFIX_MEMO_GUARD", 40)
+    guarded = {}
+    refined_invariant(d, cache=guarded)
+    assert max(sizes) == 40 and sizes.count(1) > 1  # reached, cleared
+    assert shapes[3] and shapes[4] and shapes["vectors"]
+    monkeypatch.undo()
+    # a cleared memo loses class hits, so sub-degrees a class hit skips are
+    # solved and written too; each written value is the unguarded one
+    exact = {}
+    refined_invariant(d, cache=exact)
+    assert set(exact) <= set(guarded)
+    for key, value in guarded.items():
+        sub = parse_degree(key.replace(";", ","))
+        assert refined_invariant(sub, cache=exact) == value, key
 
 
 def test_narrow_slots_change_no_value(monkeypatch):

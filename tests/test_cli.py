@@ -20,11 +20,9 @@ from refined_chord.cli import (
     load_cache,
     main,
     parse_degree,
-    render_degree,
     render_partition,
     save_cache,
 )
-from conftest import CORPUS
 
 
 def test_parse_p2_macro():
@@ -82,12 +80,6 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as err:
         parse_degree("P1xP1:12,0")
     assert err.value.pos == 9
-
-
-def test_render_round_trip():
-    for name, d in CORPUS:
-        assert parse_degree(render_degree(d)) == d
-    assert render_degree(cp2_degree(2, [2])) == "(-1,0)^2,(0,-2),(1,1)^2"
 
 
 def test_render_partition():

@@ -73,3 +73,14 @@ def test_rectangle_prefix(a, b):
     m, _, c = top_coefficients(spec)
     assert m == 2 * (a + b)
     assert_prefix(spec, m, c, min(a, b) - 1)
+
+
+def test_slow_check_runs_on_small_degrees(capsys):
+    # tests/slow_codegree_laws.py runs d = 9..12 outside the suite
+    from slow_codegree_laws import main
+
+    assert main(["3", "4", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:3] for line in lines] == [
+        [f"P2:{d}", "laws", "hold"] for d in (3, 4, 5)
+    ]

@@ -136,26 +136,8 @@ def test_json_round_trip():
     p = P({9: 1, 1: 88, -1: 88, -9: 1})
     data = p.to_json_dict()
     assert data == {"9": "1", "1": "88", "-1": "88", "-9": "1"}
-    assert P.from_json_dict(data) == p
     big = P({0: 10**40, 2: -(10**39)})
-    assert P.from_json_dict(big.to_json_dict()) == big
-
-
-def test_from_json_dict_drops_zero_coefficients():
-    p = P.from_json_dict({"2": "0", "0": "5", "-2": "-0"})
-    assert p == P({0: 5})
-    assert dict(p.items()) == {0: 5}
-    assert P.from_json_dict({"1": "0"}).is_zero()
-
-
-@pytest.mark.parametrize(
-    "data",
-    [{"0": 1.5}, {"0": "1", "2": True}, {"0": 1}, {"0": None}, {0: "1"}],
-    ids=["float", "boolean", "int", "null", "int-exponent"],
-)
-def test_from_json_dict_rejects_non_string_items(data):
-    with pytest.raises(TypeError):
-        P.from_json_dict(data)
+    assert big.to_json_dict() == {"2": str(-(10**39)), "0": str(10**40)}
 
 
 @pytest.mark.parametrize(
