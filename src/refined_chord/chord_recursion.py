@@ -55,9 +55,10 @@ from .refined_poly import (
 
 _ONE = RefinedPolynomial.one()
 
-# memo entries per top-level call, of every kind: P2:10 peaks at 87,756 (57 MB
-# peak, 2.1 s) and P2:11 at 139,340 (81 MB, 8 s), so no triangle degree up
-# to 11 reaches the guard. Clearing costs time, not values.
+# suffix states and block summands per top-level memo: P2:10 peaks at 86,631
+# (52 MB peak, 2.5 s) and P2:11 at 137,843 (80 MB, 8 s), so no triangle degree
+# up to 11 reaches the guard. Clearing costs time, not values. Sub-degree
+# values (1,125 and 1,497) are kept apart and never cleared.
 SUFFIX_MEMO_GUARD = 250_000
 
 
@@ -85,9 +86,13 @@ def _sub_multisets(pool):
 
     ``pool`` is a sorted tuple of ``(vector, count)`` pairs; each choice
     yields ``(block, rest, u)`` where ``block`` is sorted and ``u`` is the
-    balancing slope ``-sum(block)``. The engine streams its own candidates;
-    this generator stays here because the benchmark's tracer wraps it by
-    name, and its suffix-state and candidate counts read null without it.
+    balancing slope ``-sum(block)``. The engine never calls it: it streams
+    its own candidates, so the benchmark tracer's ``suffix_states`` and
+    ``candidates``, counted by wrapping this generator by name, read 0.
+    Deleting it would turn both into ``null``, which fails
+    ``tests/test_perfbench_quick.py::test_workload_result_line_is_well_formed``.
+    It leaves ``src`` with the ``Stats`` item of ROADMAP.md, once the
+    tracer reads its counts from the engine.
     """
     vecs = [v for v, _ in pool]
     counts = [c for _, c in pool]
@@ -105,13 +110,6 @@ def _sub_multisets(pool):
             (v, c - t) for v, c, t in zip(vecs, counts, takes) if c - t > 0
         )
         yield tuple(block), rest, (ux, uy)
-
-
-def _remember(memo, key, value) -> None:
-    """``memo[key] = value``, clearing ``memo`` first if it is full."""
-    if len(memo) >= SUFFIX_MEMO_GUARD:
-        memo.clear()
-    memo[key] = value
 
 
 def _default_ends(
@@ -198,8 +196,9 @@ def _invariant(vectors: Tuple[Vec, ...], cache) -> RefinedPolynomial:
 
 
 def _solve(vectors, v1, vm, cache) -> RefinedPolynomial:
-    """Run :func:`_chord_sum` with a fresh suffix memo at each slot width."""
-    return _widening(lambda bits: _chord_sum(vectors, v1, vm, cache, {}, bits))
+    """Run :func:`_chord_sum` with a fresh ``memo`` and ``values`` at each
+    slot width."""
+    return _widening(lambda bits: _chord_sum(vectors, v1, vm, cache, {}, {}, bits))
 
 
 def _normal_form(vectors: Tuple[Vec, ...]) -> Tuple[Vec, ...]:
@@ -243,42 +242,38 @@ def _normal_form(vectors: Tuple[Vec, ...]) -> Tuple[Vec, ...]:
     return form
 
 
-def _packed_invariant(vectors, cache, memo, bits, parent_vm) -> Packed:
+def _packed_invariant(vectors, cache, memo, values, bits, parent_vm) -> Packed:
     """Sub-degree lookup for the sorted tuple ``vectors``, spawned by a chord
     ending in ``parent_vm``.
 
-    Lookups go, in order, to ``memo`` under ``vectors`` itself, to ``cache``
-    under the string key, and, for more than 3 ends, to ``memo`` under the
-    :func:`_normal_form` of ``vectors``: N(A * D) = N(D) for A in GL2(Z)
-    (Block-Göttsche lattice invariance), so a value solved for any image
-    serves. Only when all three miss is ``vectors`` solved, in its own
-    coordinates, and the packed value is stored under both memo keys. Every
-    miss of ``cache`` writes the value there once under the own key, so a
-    class hit adds the entry a solve would have. A memo key, the form
-    included, is a sorted vector tuple, so it cannot equal a suffix state or
-    block summand key of :func:`_chord_sum`: their second item is a nonempty
-    tuple of ``(vector, count)`` pairs, where a vector tuple has a vector of
-    two ints.
+    Lookups go, in order, to ``values`` under ``vectors`` itself, to
+    ``cache`` under the string key, and, for more than 3 ends, to ``values``
+    under the :func:`_normal_form` of ``vectors``: N(A * D) = N(D) for A in
+    GL2(Z) (Block-Göttsche lattice invariance), so a value solved for any
+    image serves. Only when all three miss is ``vectors`` solved, in its own
+    coordinates, and the packed value is stored under both keys. Every miss
+    of ``cache`` writes the value there once under the own key, so a class
+    hit adds the entry a solve would have.
     """
-    packed = memo.get(vectors)
+    packed = values.get(vectors)
     if packed is None:
         key = vectors_key(vectors)
         hit = cache.get(key)
         if hit is None:
             form = _normal_form(vectors) if len(vectors) > 3 else vectors
-            packed = memo.get(form)
+            packed = values.get(form)
             if packed is None:
                 ends = _default_ends(vectors, parent_vm=parent_vm)
-                packed = _chord_sum(vectors, *ends, cache, memo, bits)
-                _remember(memo, form, packed)
+                packed = _chord_sum(vectors, *ends, cache, memo, values, bits)
+                values[form] = packed
             cache[key] = _unpack(packed, bits)
         else:
             packed = _pack(key, hit, bits)
-        _remember(memo, vectors, packed)
+        values[vectors] = packed
     return packed
 
 
-def _chord_sum(vectors, v1, vm, cache, memo, bits) -> Packed:
+def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
     """Sum the recursion over admissible decompositions of ``vectors``.
 
     Runs of identical blocks are chosen atomically (they share one sigma,
@@ -300,7 +295,7 @@ def _chord_sum(vectors, v1, vm, cache, memo, bits) -> Packed:
     the same ``vm`` and meets states already summed. The memo is
     created by :func:`_solve` and dropped when that call returns, never
     stored in ``cache`` (which callers persist), and cleared before a store
-    whenever it holds ``SUFFIX_MEMO_GUARD`` entries of any kind, which costs
+    whenever it holds ``SUFFIX_MEMO_GUARD`` states and summands, which costs
     time but changes no value. ``suffix_sum`` and ``block_summand`` refer to
     each other through their closure cells, a reference cycle that would
     keep the memo alive until the cyclic garbage collector runs; deleting
@@ -317,13 +312,9 @@ def _chord_sum(vectors, v1, vm, cache, memo, bits) -> Packed:
     sub-degree invariants vanish) is skipped, since its ``hi`` means nothing
     and would shift the sum; a block whose own sub-degree invariant vanishes
     is skipped before its tails are summed. Sub-degree values enter through
-    :func:`_packed_invariant`, which looks each up in ``memo`` under its
-    sorted vector tuple, then in ``cache``, then in ``memo`` under its
-    GL2(Z) normal form, and solves it only when all three miss. The memo's
-    keys are distinct by shape: suffix states have 4 items and block
-    summand keys 3, and both have a nonempty tuple of ``(vector, count)``
-    pairs as second item, where a sub-degree's vector tuple has a vector of
-    two ints. ``cache`` keeps only unpacked polynomials.
+    :func:`_packed_invariant` and are kept packed in ``values``, created
+    with ``memo`` but never cleared: it holds about two entries per
+    sub-degree reached. ``cache`` keeps only unpacked polynomials.
 
     The weight of a run of ``r`` identical blocks, taking ``t_v`` of each
     vector ``v`` from a pool of ``c_v``, is ``fam_r = fam_(r-1) * X_r / r``
@@ -408,7 +399,7 @@ def _chord_sum(vectors, v1, vm, cache, memo, bits) -> Packed:
         if e1 >> bits:
             raise _SlotOverflow
         total = (acc, hi, e1)
-        if len(memo) >= SUFFIX_MEMO_GUARD:  # _remember, inlined
+        if len(memo) >= SUFFIX_MEMO_GUARD:  # inline: a helper call cost 1.8 %
             memo.clear()
         memo[state] = total
         return total
@@ -426,7 +417,7 @@ def _chord_sum(vectors, v1, vm, cache, memo, bits) -> Packed:
             closed = block + ((ux, uy),)
             assert len(closed) < total_len
             sn, sh, se = _packed_invariant(
-                tuple(sorted(closed)), cache, memo, bits, vm
+                tuple(sorted(closed)), cache, memo, values, bits, vm
             )
             fn *= sn
             fh += sh
@@ -466,7 +457,7 @@ def _chord_sum(vectors, v1, vm, cache, memo, bits) -> Packed:
                 hi = sh
             e1 += se
         total = (acc, hi, e1)
-        if len(memo) >= SUFFIX_MEMO_GUARD:  # _remember, inlined
+        if len(memo) >= SUFFIX_MEMO_GUARD:  # inline: a helper call cost 1.8 %
             memo.clear()
         memo[key] = total
         return total

@@ -24,7 +24,7 @@ DEGREES = (9, 10, 11, 12)
 
 
 def main(argv=None) -> int:
-    """Check the three laws of P2:d for each degree in ``argv``."""
+    """Check the four laws of P2:d for each degree in ``argv``."""
     degrees = [int(a) for a in argv] if argv else DEGREES
     for d in degrees:
         t0 = time.perf_counter()

@@ -427,47 +427,60 @@ def test_recursion_leaves_no_cyclic_garbage():
 
 
 def test_suffix_memo_guard_changes_no_value(monkeypatch):
-    # clearing the memo only costs time: every value is recomputed exactly
+    # clearing the memo only costs time: every value is recomputed exactly,
+    # and the cache gets the same entries in the same order
     pinned = {name: oracle_invariant(d, seed=0) for name, d in CORPUS}
+    exact = {name: {} for name, _ in CORPUS}
+    for name, d in CORPUS:
+        refined_invariant(d, cache=exact[name])
     monkeypatch.setattr(chord_recursion, "SUFFIX_MEMO_GUARD", 1)
     for name, d in CORPUS:
-        assert refined_invariant(d, cache={}) == pinned[name], name
+        cache = {}
+        assert refined_invariant(d, cache=cache) == pinned[name], name
+        assert list(cache.items()) == list(exact[name].items()), name
 
 
 def test_suffix_memo_guard_bounds_states_and_summands(monkeypatch):
-    # the guard counts every memo entry: suffix states, block summands and
-    # sub-degree values; clearing them changes no value
+    # the guard counts suffix states and block summands; sub-degree values
+    # have their own dict that no clear touches, so a guarded run solves the
+    # same chords and writes the same cache as an unguarded one
     d = parse_degree("P2:6")
-    sizes, shapes = [], Counter()
-
-    class Watched(dict):
-        def __setitem__(self, key, value):
-            dict.__setitem__(self, key, value)
-            sizes.append(len(self))
-            shapes[len(key) if isinstance(key[1][0], tuple) else "vectors"] += 1
-
+    unguarded = chord_recursion.SUFFIX_MEMO_GUARD
     real = chord_recursion._chord_sum
 
-    def spy(vectors, v1, vm, cache, memo, bits):
-        if type(memo) is dict:  # the fresh memo of a top-level solve
-            memo = Watched()
-        return real(vectors, v1, vm, cache, memo, bits)
+    def watched_run(guard):
+        calls, sizes, shapes = [], {"memo": [], "values": []}, Counter()
 
-    monkeypatch.setattr(chord_recursion, "_chord_sum", spy)
-    monkeypatch.setattr(chord_recursion, "SUFFIX_MEMO_GUARD", 40)
-    guarded = {}
-    refined_invariant(d, cache=guarded)
-    assert max(sizes) == 40 and sizes.count(1) > 1  # reached, cleared
-    assert shapes[3] and shapes[4] and shapes["vectors"]
-    monkeypatch.undo()
-    # a cleared memo loses class hits, so sub-degrees a class hit skips are
-    # solved and written too; each written value is the unguarded one
-    exact = {}
-    refined_invariant(d, cache=exact)
-    assert set(exact) <= set(guarded)
-    for key, value in guarded.items():
-        sub = parse_degree(key.replace(";", ","))
-        assert refined_invariant(sub, cache=exact) == value, key
+        class Watched(dict):
+            def __init__(self, name):
+                self.name = name
+
+            def __setitem__(self, key, value):
+                dict.__setitem__(self, key, value)
+                sizes[self.name].append(len(self))
+                if self.name == "memo":
+                    shapes[len(key)] += 1
+
+        def spy(vectors, v1, vm, cache, memo, values, bits):
+            calls.append(vectors)
+            if type(memo) is dict:  # the fresh dicts of a top-level solve
+                memo, values = Watched("memo"), Watched("values")
+            return real(vectors, v1, vm, cache, memo, values, bits)
+
+        monkeypatch.setattr(chord_recursion, "_chord_sum", spy)
+        monkeypatch.setattr(chord_recursion, "SUFFIX_MEMO_GUARD", guard)
+        cache = {}
+        refined_invariant(d, cache=cache)
+        return cache, calls, sizes, shapes
+
+    guarded, guarded_calls, sizes, shapes = watched_run(40)
+    assert max(sizes["memo"]) == 40  # reached, never exceeded
+    assert sizes["memo"].count(1) > 1  # cleared
+    assert set(shapes) == {3, 4}  # block summands and suffix states only
+    assert sizes["values"] == sorted(sizes["values"])  # never cleared
+    exact, exact_calls, _, _ = watched_run(unguarded)
+    assert guarded_calls == exact_calls
+    assert list(guarded.items()) == list(exact.items())
 
 
 def test_narrow_slots_change_no_value(monkeypatch):

@@ -7,7 +7,9 @@ theorems:
 
 * c_k = C(3d-3+k, k) for k <= d-2;
 * c_(d-1) = C(4d-4, d-1) - 3d^2 (from d = 3 on);
-* c_d = C(4d-3, d) - 3d(3d^2-3d+1) (from d = 5 on).
+* c_d = C(4d-3, d) - 3d(3d^2-3d+1) (from d = 5 on);
+* c_(d+1) = C(4d-2, d+1) - (3d/2)(9d^3-15d^2+12d-4) (from d = 6 on; it
+  fails at d = 5).
 
 The first is the start of the series (1-x)^-(m-2) for a degree of m ends.
 Degrees with grouped ends follow the same prefix: P2:d:l for k <= d-2, and
@@ -54,6 +56,9 @@ def test_p2_top_coefficients(d):
         assert c == [1]
     if d >= 5:
         assert c[d] == comb(4 * d - 3, d) - 3 * d * (3 * d * d - 3 * d + 1)
+    if d >= 6:
+        r2 = 3 * d * (9 * d**3 - 15 * d * d + 12 * d - 4) // 2
+        assert c[d + 1] == comb(4 * d - 2, d + 1) - r2
 
 
 @pytest.mark.parametrize(
