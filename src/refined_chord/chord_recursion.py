@@ -41,7 +41,7 @@ from math import comb, gcd, prod
 from operator import sub
 from typing import Dict, Optional, Tuple
 
-from .lattice import Degree, Vec, omega, vectors_key
+from .lattice import Degree, Vec, _normal_form, canonical_key, omega, vectors_key
 from .refined_poly import (
     Packed,
     RefinedPolynomial,
@@ -64,11 +64,6 @@ SUFFIX_MEMO_GUARD = 250_000
 
 class VectorNotInDegree(ValueError):
     """The requested chord ends cannot be removed from the degree."""
-
-
-def _primitive(v: Vec) -> Vec:
-    g = gcd(abs(v[0]), abs(v[1]))
-    return (v[0] // g, v[1] // g)
 
 
 def _remove_ends(vectors: Tuple[Vec, ...], *ends: Vec) -> Counter:
@@ -185,13 +180,12 @@ def refined_invariant(
 def _invariant(vectors: Tuple[Vec, ...], cache) -> RefinedPolynomial:
     if len(vectors) == 2:
         return _ONE
-    key = vectors_key(vectors)
+    key = canonical_key(Degree(vectors))
     hit = cache.get(key)
     if hit is not None:
         _check_cached(key, hit)
         return hit
-    value = _solve(vectors, *_default_ends(vectors), cache)
-    cache[key] = value
+    value = cache[key] = _solve(vectors, *_default_ends(vectors), cache)
     return value
 
 
@@ -201,74 +195,29 @@ def _solve(vectors, v1, vm, cache) -> RefinedPolynomial:
     return _widening(lambda bits: _chord_sum(vectors, v1, vm, cache, {}, {}, bits))
 
 
-def _normal_form(vectors: Tuple[Vec, ...]) -> Tuple[Vec, ...]:
-    """A sorted tuple shared by exactly the GL2(Z) images of ``vectors``.
-
-    A colinear degree is its own form. Otherwise each candidate is the image
-    under the unique ``M`` in GL2(Z) of determinant ``s`` (both signs are
-    tried) that sends ``a' = primitive(a)`` to ``(1, 0)`` for an end ``a`` of
-    largest multiplicity, and an end ``b`` with the least positive
-    ``y = s * omega(a', b)`` to ``(r, y)`` with ``0 <= r < y``; the form is
-    the least sorted candidate. ``A`` in GL2(Z) maps the candidate choices of
-    ``vectors`` one to one onto those of its image ``A * vectors``, each to
-    the same candidate, so both get the same form.
-    """
-    counts = Counter(vectors)
-    top = max(counts.values())
-    form = None
-    for a, c in counts.items():
-        if c != top:
-            continue
-        px, py = _primitive(a)
-        # alpha * px + beta * py == 1, so the row (alpha, beta) completes M
-        if py:
-            alpha = pow(px, -1, abs(py))
-            beta = (1 - alpha * px) // py
-        else:
-            alpha, beta = px, 0
-        xs = [alpha * x + beta * y for x, y in vectors]
-        ys = [px * y - py * x for x, y in vectors]  # omega(a', v)
-        if not any(ys):
-            return vectors
-        for s in (1, -1):
-            d = min(s * y for y in ys if s * y > 0)
-            for x, y in set(zip(xs, ys)):
-                if s * y != d:
-                    continue
-                k = -(x // d)  # the shear that puts b at (x mod d, d)
-                image = tuple(sorted([(x + k * s * y, s * y) for x, y in zip(xs, ys)]))
-                if form is None or image < form:
-                    form = image
-    return form
-
-
 def _packed_invariant(vectors, cache, memo, values, bits, parent_vm) -> Packed:
     """Sub-degree lookup for the sorted tuple ``vectors``, spawned by a chord
-    ending in ``parent_vm``.
-
-    Lookups go, in order, to ``values`` under ``vectors`` itself, to
-    ``cache`` under the string key, and, for more than 3 ends, to ``values``
-    under the :func:`_normal_form` of ``vectors``: N(A * D) = N(D) for A in
-    GL2(Z) (Block-Göttsche lattice invariance), so a value solved for any
-    image serves. Only when all three miss is ``vectors`` solved, in its own
-    coordinates, and the packed value is stored under both keys. Every miss
-    of ``cache`` writes the value there once under the own key, so a class
-    hit adds the entry a solve would have.
-    """
+    ending in ``parent_vm``. N(A * D) = N(D) for A in GL2(Z), so any
+    image's value serves: lookups go to ``values`` under ``vectors``, then
+    under its form (the :func:`_normal_form` above 3 ends, else
+    ``vectors``), then to ``cache`` under the form's string, the class's
+    canonical key. Only when all miss is ``vectors`` solved, in its own
+    coordinates; its value is written to ``cache`` once per class, and
+    packed to ``values`` under both tuples."""
     packed = values.get(vectors)
     if packed is None:
-        key = vectors_key(vectors)
-        hit = cache.get(key)
-        if hit is None:
-            form = _normal_form(vectors) if len(vectors) > 3 else vectors
-            packed = values.get(form)
-            if packed is None:
+        form = _normal_form(vectors) if len(vectors) > 3 else vectors
+        packed = values.get(form)
+        if packed is None:
+            key = vectors_key(form)
+            hit = cache.get(key)
+            if hit is None:
                 ends = _default_ends(vectors, parent_vm=parent_vm)
                 packed = _chord_sum(vectors, *ends, cache, memo, values, bits)
-                values[form] = packed
-            cache[key] = _unpack(packed, bits)
-        else:
-            packed = _pack(key, hit, bits)
+                cache[key] = _unpack(packed, bits)
+            else:
+                packed = _pack(key, hit, bits)
+            values[form] = packed
         values[vectors] = packed
     return packed
 
@@ -308,10 +257,10 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
     a sum a shift-add. ``e1 < 2**bits`` at every stored state total proves
     that no slot carried, in it or in the summands it adds up; otherwise
     :class:`_SlotOverflow` makes :func:`_solve` retry with the slots twice
-    as wide. A summand whose ``e1`` is 0 (some
-    sub-degree invariants vanish) is skipped, since its ``hi`` means nothing
-    and would shift the sum; a block whose own sub-degree invariant vanishes
-    is skipped before its tails are summed. Sub-degree values enter through
+    as wide. A summand whose ``e1`` is 0 (some sub-degree invariants
+    vanish) is skipped, since its ``hi`` means nothing and would shift the
+    sum; a block whose own sub-degree invariant vanishes is skipped before
+    its tails are summed. Sub-degree values enter through
     :func:`_packed_invariant` and are kept packed in ``values``, created
     with ``memo`` but never cleared: it holds about two entries per
     sub-degree reached. ``cache`` keeps only unpacked polynomials.

@@ -24,7 +24,8 @@ import json
 import os
 import re
 import sys
-from itertools import chain, groupby
+from itertools import chain, compress, groupby
+from operator import itemgetter, not_
 from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Tuple
 
@@ -36,11 +37,11 @@ from .direct_enumerator import (
     check_oracle_size,
     oracle_invariant,
 )
-from .lattice import Degree, Vec, canonical_key, cp2_degree, make_degree
+from .lattice import Degree, Vec, cp2_degree, make_degree
 from .refined_poly import RefinedPolynomial, _Deferred, _dense
 
 CACHE_ENV = "REFINED_CHORD_CACHE"
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 TABLE_DEGREE_GUARD = 8
 
 
@@ -212,7 +213,7 @@ def load_cache(path: str) -> Dict[str, RefinedPolynomial]:
 
 
 class _BadEntry(ValueError):
-    """An entry line is not a ``[key, hi, coeffs]`` list of the right types."""
+    """An entry line is not a ``[key, hi, coeffs]`` list as saves write it."""
 
 
 def _decode_entries(lines: List[str]) -> Dict[str, RefinedPolynomial]:
@@ -222,10 +223,12 @@ def _decode_entries(lines: List[str]) -> Dict[str, RefinedPolynomial]:
     many, which the count against the lines catches.
 
     The JSON decoder has already checked that every integer is a decimal
-    one; what is left is checked in bulk, by the set of types in each
-    field: the key a ``str``, ``hi`` and every coefficient exactly an
-    ``int`` (so neither a bool nor a float) and ``coeffs`` a ``list``. The
-    values are built only where they are used (:class:`_Deferred`).
+    one; the rest is checked in bulk: the set of types in each field (the
+    key a ``str``, ``hi`` and every coefficient exactly an ``int``, so
+    neither a bool nor a float, and ``coeffs`` a ``list``), and, as
+    :func:`save_cache` writes them, no ``coeffs`` starting or ending with 0
+    and ``hi`` 0 for an empty one. Values are built only where they are
+    used (:class:`_Deferred`).
     """
     entries = json.loads("[" + ",".join(lines) + "]")
     if len(entries) != len(lines):
@@ -235,20 +238,23 @@ def _decode_entries(lines: List[str]) -> Dict[str, RefinedPolynomial]:
     if set(map(type, entries)) != {list} or set(map(len, entries)) != {3}:
         raise _BadEntry(_bad_entry(entries))
     keys, his, coeffs = zip(*entries)
+    nonempty = list(filter(None, coeffs))
     if (
         set(map(type, keys)) != {str}
         or set(map(type, his)) != {int}
         or set(map(type, coeffs)) != {list}
         or not set(map(type, chain.from_iterable(coeffs))) <= {int}
+        or 0 in map(itemgetter(0), nonempty)
+        or 0 in map(itemgetter(-1), nonempty)
+        or any(compress(his, map(not_, coeffs)))
     ):
         raise _BadEntry(_bad_entry(entries))
     return dict(zip(keys, map(_Deferred, his, coeffs)))
 
 
 def _bad_entry(entries: list) -> str:
-    """Why the first bad entry of ``entries`` fails :func:`_decode_entries`'s
-    check, naming the value and its role: key, exponent (``hi``) or
-    coefficient."""
+    """Why the first bad entry of ``entries`` fails :func:`_decode_entries`,
+    naming the value and its role: key, exponent (``hi``) or coefficients."""
     for entry in entries:
         if type(entry) is not list or len(entry) != 3:
             return f"entry {json.dumps(entry)} is not a [key, hi, coeffs] list"
@@ -265,6 +271,10 @@ def _bad_entry(entries: list) -> str:
                     f"coefficient {json.dumps(coefficient)} of exponent {exponent} "
                     "is not an integer"
                 )
+        if coeffs and 0 in (coeffs[0], coeffs[-1]):
+            return f"coefficients {json.dumps(coeffs)} start or end with 0"
+        if not coeffs and hi:
+            return f"exponent {hi} of the zero polynomial is not 0"
     return "an entry is malformed"  # not reached
 
 
@@ -333,8 +343,6 @@ def cmd_compute(args) -> int:
         raise FileNotFoundError(f"{cache_path}: no such directory for the cache file")
     known = len(cache)
     value = refined_invariant(d, v1=v1, vm=vm, cache=cache)
-    if v1 is None and vm is None:
-        cache.setdefault(canonical_key(d), value)
     print(_render(value, args.format))
     if cache_path and len(cache) > known:
         save_cache(cache_path, cache)

@@ -4,13 +4,17 @@ The two-dimensional integer lattice is the common currency of this package:
 directions of unbounded ends, slopes of edges, and sums of both live in it.
 Vectors are plain ``(x, y)`` tuples of Python integers, so nothing can
 overflow. A :class:`Degree` is a multiset of nonzero vectors with total sum
-zero; it is the problem instance handed to both counting engines and, once
-serialized by :func:`canonical_key`, the memoization key shared between them.
+zero; it is the problem instance handed to both counting engines. Counts
+are unchanged by a change of lattice basis, N(A * D) = N(D) for A in GL2(Z)
+(Block-Göttsche), so :func:`canonical_key` serializes a degree's class.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Sequence, Tuple
 
 Vec = Tuple[int, int]
@@ -84,17 +88,56 @@ def make_degree(vectors: Iterable[Vec]) -> Degree:
 
 
 def canonical_key(d: Degree) -> str:
-    """Serialize a degree as its sorted vector list, e.g. ``"(-1,0);(0,-1);(1,1)"``.
-
-    The string is injective on multisets and stable across runs; it is the
-    cache key used by the persistent memo store.
-    """
-    return vectors_key(d.vectors)
+    """Serialize the GL2(Z) class of a degree, e.g. ``"(-1,0);(0,-1);(1,1)"``:
+    the sorted vectors of its :func:`_normal_form`, or for 2 and 3 ends,
+    where a form costs more than it saves, its own. Stable across runs;
+    equal keys mean equal invariants. The persistent memo store's key."""
+    return vectors_key(_normal_form(d.vectors) if d.m > 3 else d.vectors)
 
 
 def vectors_key(vectors: Sequence[Vec]) -> str:
-    """The :func:`canonical_key` serialization of an already sorted vector tuple."""
-    return ";".join(f"({x},{y})" for x, y in vectors)
+    """The :func:`canonical_key` serialization of a sorted vector tuple."""
+    return ";".join([f"({x},{y})" for x, y in vectors])
+
+
+def _normal_form(vectors: Tuple[Vec, ...]) -> Tuple[Vec, ...]:
+    """A sorted tuple shared by exactly the GL2(Z) images of ``vectors``: of
+    the images under an ``M`` in GL2(Z) of determinant ``s`` = 1 or -1 that
+    sends ``a' = primitive(a)``, for an end ``a`` of largest multiplicity,
+    to ``(1, 0)`` and an end ``b`` of least positive ``y = s * omega(a', b)``
+    to ``(r, y)``, ``0 <= r < y`` (for a colinear degree, ``a'`` to
+    ``(s, 0)``), the one of least sorted ``(x, y, count)`` rows, one row per
+    distinct vector. ``A`` in GL2(Z) maps these candidates of ``vectors``
+    one to one onto those of ``A * vectors``, so both get the same form."""
+    counts = Counter(vectors).items()
+    top = max([n for _, n in counts])
+    form = None
+    for (px, py), c in counts:
+        if c != top:
+            continue
+        g = gcd(px, py)
+        px //= g
+        py //= g
+        # alpha * px + beta * py == 1, so the row (alpha, beta) completes M
+        if py:
+            alpha = pow(px, -1, abs(py))
+            beta = (1 - alpha * px) // py
+        else:
+            alpha, beta = px, 0
+        # (x, omega(a', v), count) per distinct vector v
+        rows = [(alpha * x + beta * y, px * y - py * x, n) for (x, y), n in counts]
+        ys = sorted([y for _, y, _ in rows])
+        if ys[0] == ys[-1]:  # all 0, since the degree sums to zero: colinear
+            form = min(sorted([(s * x, 0, n) for x, _, n in rows]) for s in (1, -1))
+            break
+        for s, d in ((1, ys[bisect_right(ys, 0)]), (-1, -ys[bisect_left(ys, 0) - 1])):
+            for x, y, _ in rows:
+                if s * y == d:
+                    k = x // d * s  # the shear that puts b at (x mod d, d)
+                    image = sorted([(u - k * v, s * v, n) for u, v, n in rows])
+                    if form is None or image < form:
+                        form = image
+    return tuple([xy for x, y, n in form for xy in [(x, y)] * n])
 
 
 def cp2_degree(d: int, parts: Sequence[int]) -> Degree:

@@ -33,3 +33,12 @@ NON_CP2 = [
     "doubled-line", "heavy-vertical", "P1xP1:1,1", "P1xP1:1,2", "P1xP1:2,2",
     "hexagon", "skew-triangle", "split-fan", "mixed-quad",
 ]
+
+# elementary moves of GL2(Z) applied to a vector (x, y) with a sign s = +-1;
+# each has det +-1, and words in them reach every element of GL2(Z)
+GL2_MOVES = {
+    "add-x": lambda x, y, s: (x + s * y, y),
+    "add-y": lambda x, y, s: (x, y + s * x),
+    "flip": lambda x, y, s: (y, x),
+    "negate-x": lambda x, y, s: (-x, y),
+}

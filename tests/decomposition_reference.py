@@ -20,14 +20,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, gcd
 from typing import Iterator, Sequence, Tuple
 
-from refined_chord.chord_recursion import (
-    _primitive,
-    _remove_ends,
-    _sub_multisets,
-)
+from refined_chord.chord_recursion import _remove_ends, _sub_multisets
 from refined_chord.lattice import Degree, Vec, make_degree, omega
 
 Block = Tuple[Vec, ...]
@@ -86,6 +82,11 @@ def canonical_representative(blocks: Sequence[Block]) -> bool:
         if omega(us[i], us[i + 1]) == 0 and keys[i + 1] < keys[i]:
             return False
     return True
+
+
+def _primitive(v: Vec) -> Vec:
+    g = gcd(abs(v[0]), abs(v[1]))
+    return (v[0] // g, v[1] // g)
 
 
 def _block_u(block: Sequence[Vec]) -> Vec:

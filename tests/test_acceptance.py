@@ -17,7 +17,6 @@ from collections import Counter
 
 from refined_chord import (
     RefinedPolynomial,
-    canonical_key,
     cp2_degree,
     oracle_invariant,
     refined_invariant,
@@ -77,7 +76,8 @@ _oracle_memo = {}
 
 
 def _oracle(d, seed):
-    key = (canonical_key(d), seed)
+    # keyed by the vectors, not the class key, so each degree runs the oracle
+    key = (d.vectors, seed)
     if key not in _oracle_memo:
         _oracle_memo[key] = oracle_invariant(d, seed=seed)
     return _oracle_memo[key]

@@ -18,11 +18,11 @@ from refined_chord import (
     refined_invariant,
 )
 from refined_chord import chord_recursion, refined_poly
-from refined_chord.chord_recursion import _default_ends, _normal_form
+from refined_chord.chord_recursion import _default_ends
 from refined_chord.cli import parse_degree
-from refined_chord.lattice import omega
+from refined_chord.lattice import _normal_form, omega
 from refined_chord.refined_poly import q_analog
-from conftest import CORPUS
+from conftest import CORPUS, GL2_MOVES
 from decomposition_reference import (
     DegenerateBlock,
     canonical_representative,
@@ -315,15 +315,6 @@ def test_reference_values_reproduced():
         assert refined_invariant(parse_degree(spec), cache={}) == expected, spec
 
 
-# elementary moves of GL2(Z) applied to a vector (x, y); each has det +-1
-GL2_MOVES = {
-    "add-x": lambda x, y, s: (x + s * y, y),
-    "add-y": lambda x, y, s: (x, y + s * x),
-    "flip": lambda x, y, s: (y, x),
-    "negate-x": lambda x, y, s: (-x, y),
-}
-
-
 def _image(vectors, moves):
     for kind, sign in moves:
         vectors = [GL2_MOVES[kind](x, y, sign) for x, y in vectors]
@@ -359,7 +350,7 @@ def test_normal_form_is_a_class_invariant(vecs, moves):
     sx = sum(v[0] for v in vecs)
     sy = sum(v[1] for v in vecs)
     vecs = [v for v in vecs + [(-sx, -sy)] if v != (0, 0)]
-    assume(len(vecs) >= 3 and any(omega(vecs[0], v) for v in vecs))
+    assume(len(vecs) >= 3)
     d = make_degree(vecs).vectors
     form = _normal_form(d)
     assert _normal_form(_image(d, moves)) == form
@@ -368,8 +359,15 @@ def test_normal_form_is_a_class_invariant(vecs, moves):
 
 
 def test_normal_form_of_colinear_degree_is_itself():
+    # a colinear degree on the x-axis is its own form and that of each of
+    # its images; another line is sent onto the x-axis
     line = make_degree([(-2, 0), (-1, 0), (1, 0), (2, 0)]).vectors
-    assert _normal_form(line) is line
+    assert _normal_form(line) == line
+    for moves in ([("add-y", 1)], [("flip", 1), ("add-x", -1)], [("negate-x", 1)]):
+        assert _normal_form(_image(line, moves)) == line
+    ray = make_degree([(-3, -3), (1, 1), (2, 2)]).vectors
+    assert _normal_form(ray) == ((-3, 0), (1, 0), (2, 0))
+    assert _normal_form(_image(ray, [("negate-x", 1), ("add-x", 1)])) == _normal_form(ray)
 
 
 def test_corpus_degrees_equal_their_normal_forms():
@@ -379,7 +377,8 @@ def test_corpus_degrees_equal_their_normal_forms():
 
 
 def test_class_reuse_solves_fewer_chords_than_keys_written(monkeypatch):
-    # 190 chords for 190 keys without class reuse
+    # the cache holds one entry per GL2(Z) class, written by the one chord
+    # that solves it; without class reuse P2:6 solves and writes 190
     calls = []
     real = chord_recursion._chord_sum
 
@@ -390,10 +389,18 @@ def test_class_reuse_solves_fewer_chords_than_keys_written(monkeypatch):
     monkeypatch.setattr(chord_recursion, "_chord_sum", spy)
     cache = {}
     refined_invariant(parse_degree("P2:6"), cache=cache)
-    assert len(calls) < len(cache)
+    assert len(calls) == len(cache)
+    monkeypatch.setattr(chord_recursion, "_normal_form", lambda vectors: vectors)
+    calls.clear()
+    unclassed = {}
+    refined_invariant(parse_degree("P2:6"), cache=unclassed)
+    assert len(calls) == len(unclassed) == 190
+    assert len(cache) < 190
 
 
 def test_class_reuse_writes_the_values_of_a_fresh_solve(monkeypatch):
+    # every key is the normal form of a degree of its class, and holds that
+    # degree's value solved without class reuse
     cache = {}
     refined_invariant(parse_degree("P2:6"), cache=cache)
     monkeypatch.setattr(chord_recursion, "_normal_form", lambda vectors: vectors)

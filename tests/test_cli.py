@@ -245,9 +245,9 @@ def test_cache_save_failure_keeps_old_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["memo.jsonl"]
 
 
-# the bytes of a version-2 file; a faster writer must not drift from them
+# the bytes of a version-3 file; a faster writer must not drift from them
 GOLDEN_CACHE = (
-    '{"version": 2}\n'
+    '{"version": 3}\n'
     '["(-1,0);(-1,0);(-1,0);(0,-1);(0,-1);(0,-1);(1,1);(1,1);(1,1)", '
     '2, [1, 7, 1]]\n'
     '["(-2,0);(0,-2);(2,2)", 3, [1, 1, 1, 1]]\n'
@@ -278,7 +278,7 @@ def test_cache_line_matches_json_dumps(tmp_path, key):
     path = tmp_path / "memo.jsonl"
     save_cache(str(path), {key: poly})
     expected = (
-        json.dumps({"version": 2}) + "\n"
+        json.dumps({"version": 3}) + "\n"
         + json.dumps([key, 3, [10**30, 2, 2, 10**30]]) + "\n"
     )
     assert path.read_bytes() == expected.encode("utf-8")
@@ -320,7 +320,7 @@ def test_cache_loader_empty_file(tmp_path):
     path = tmp_path / "memo.jsonl"
     path.write_text("")
     assert load_cache(str(path)) == {}
-    path.write_text('{"version": 2}\n')
+    path.write_text('{"version": 3}\n')
     assert load_cache(str(path)) == {}
 
 
@@ -328,7 +328,7 @@ def test_cache_loader_zero_polynomials(tmp_path):
     # a vanishing invariant is stored with no coefficients; a file may hold
     # only such
     path = tmp_path / "memo.jsonl"
-    text = '{"version": 2}\n["a", 0, []]\n["b", 0, []]\n'
+    text = '{"version": 3}\n["a", 0, []]\n["b", 0, []]\n'
     path.write_text(text)
     loaded = load_cache(str(path))
     assert loaded == {"a": RefinedPolynomial(), "b": RefinedPolynomial()}
@@ -340,13 +340,13 @@ def test_cache_loader_zero_polynomials(tmp_path):
     assert load_cache(str(path)) == {**GOLDEN_ENTRIES, "zero": RefinedPolynomial()}
 
 
-_HEADER = '{"version": 2}\n'
+_HEADER = '{"version": 3}\n'
 _ENTRY = '["(-1,0);(0,-1);(1,1)", 0, [1]]'
 _OTHER = '["(-2,0);(0,-2);(2,2)", 1, [1, 1]]'
 
 MALFORMED_CACHES = {
     # name: (file contents, number of the line named in the error)
-    # a version-1 entry under a version-2 header
+    # a version-1 entry under a version-3 header
     "array-entry": (_HEADER + '{"key": "k", "poly": {"0": "1"}}\n', 2),
     "no-poly": (_HEADER + _ENTRY + '\n["k", 0]\n', 3),
     "no-key": (_HEADER + '[0, [1]]\n', 2),
@@ -376,6 +376,11 @@ MALFORMED_CACHES = {
     "empty-coefficient": (_HEADER + '["k", 0, [1, , 1]]\n', 2),
     # past the decoder's 4,300-digit limit; no computed value comes near it
     "long-coefficient": (_HEADER + _ENTRY + '\n["k", 0, [' + "7" * 5000 + ']]\n', 3),
+    # save_cache writes no zero at either end, and the zero polynomial as
+    # [key, 0, []]
+    "leading-zero-coefficient": (_HEADER + _ENTRY + '\n["k", 2, [0, 1, 1]]\n', 3),
+    "trailing-zero-coefficient": (_HEADER + '["k", 2, [1, 7, 1, 0]]\n' + _OTHER + '\n', 2),
+    "empty-coefficients-nonzero-exponent": (_HEADER + _ENTRY + '\n["k", 2, []]\n', 3),
 }
 
 
@@ -407,6 +412,12 @@ def test_cache_loader_rejects_malformed_line(tmp_path, name):
         ("number-key", "key 5 is not a string"),
         ("poly-not-object", 'coefficients {"0": 1} are not a list'),
         ("no-poly", 'entry ["k", 0] is not a [key, hi, coeffs] list'),
+        ("leading-zero-coefficient", "coefficients [0, 1, 1] start or end with 0"),
+        ("trailing-zero-coefficient", "coefficients [1, 7, 1, 0] start or end with 0"),
+        (
+            "empty-coefficients-nonzero-exponent",
+            "exponent 2 of the zero polynomial is not 0",
+        ),
     ],
 )
 def test_cache_loader_names_non_string_coefficient(tmp_path, name, reason):
@@ -468,6 +479,21 @@ def test_cache_version_1_is_refused_as_deletable(tmp_path, capsys):
     assert path.read_text() == text
 
 
+def test_cache_version_2_is_refused_as_deletable(tmp_path, capsys):
+    # version 2 keyed entries by vector multiset; version 3 keys them by
+    # GL2(Z) class, so a version-2 file is refused as version 1 is
+    path = tmp_path / "memo.jsonl"
+    text = GOLDEN_CACHE.replace('{"version": 3}', '{"version": 2}')
+    path.write_text(text)
+    with pytest.raises(CacheVersionError, match="version 2 .*older release.*can be deleted"):
+        load_cache(str(path))
+    assert main(["compute", "P2:3", "--cache-path", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: cache version 2 ")
+    assert path.read_text() == text
+
+
 def test_compute_writes_and_reuses_cache(tmp_path, capsys):
     path = tmp_path / "memo.jsonl"
     assert main(["compute", "P2:3", "--cache-path", str(path)]) == 0
@@ -505,7 +531,8 @@ def test_compute_refuses_unpackable_cached_subdegree(tmp_path, capsys):
 def test_compute_refuses_unpackable_cached_top_level_value(tmp_path, capsys):
     # a hit on the computed degree's own key is checked as a sub-degree hit is
     path = tmp_path / "memo.jsonl"
-    key = "(-1,0);(-1,0);(-1,0);(0,-1);(0,-1);(0,-1);(1,1);(1,1);(1,1)"
+    key = "(-1,-1);(-1,-1);(-1,-1);(0,1);(0,1);(0,1);(1,0);(1,0);(1,0)"
+    assert canonical_key(parse_degree("P2:3")) == key
     save_cache(str(path), {key: RefinedPolynomial({2: 1, 0: 7})})
     before = path.read_bytes()
     assert main(["compute", "P2:3", "--cache-path", str(path)]) == 2
@@ -513,6 +540,44 @@ def test_compute_refuses_unpackable_cached_top_level_value(tmp_path, capsys):
     assert captured.out == ""
     assert key in captured.err
     assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "cached, image",
+    [
+        ("P1xP1:2,1", "P1xP1:1,2"),
+        # P2:4 sheared by (x, y) -> (x + y, y)
+        ("P2:4", "(-1,0)^4,(-1,-1)^4,(2,1)^4"),
+    ],
+)
+def test_compute_gl2z_image_is_a_top_level_class_hit(
+    tmp_path, capsys, monkeypatch, cached, image
+):
+    # the file holds one entry per class, so an image of a cached degree is
+    # served from it: no chord is summed, the file is not rewritten, and the
+    # degree is keyed once
+    import refined_chord.lattice as lattice
+    from refined_chord import chord_recursion
+
+    path = tmp_path / "memo.jsonl"
+    assert main(["compute", cached, "--cache-path", str(path)]) == 0
+    before = path.read_bytes()
+    expected = refined_invariant(parse_degree(cached)).to_text()
+    assert capsys.readouterr().out.splitlines() == [expected]
+
+    def no_chord_sum(*args):
+        raise AssertionError("a class hit sums no chord")
+
+    forms = []
+    real_form = lattice._normal_form
+    monkeypatch.setattr(chord_recursion, "_chord_sum", no_chord_sum)
+    monkeypatch.setattr(
+        lattice, "_normal_form", lambda vectors: forms.append(vectors) or real_form(vectors)
+    )
+    assert main(["compute", image, "--cache-path", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [expected]
+    assert path.read_bytes() == before
+    assert forms == [parse_degree(image).vectors]
 
 
 def test_compute_miss_resaves_loaded_entries_as_an_eager_save(tmp_path, capsys):
@@ -533,8 +598,9 @@ def test_compute_miss_resaves_loaded_entries_as_an_eager_save(tmp_path, capsys):
 
 
 def test_compute_on_the_benchmark_cache_resaves_as_an_eager_save(tmp_path, capsys):
-    # the 318-entry file the cli-warm benchmark starts from: a miss, then a
-    # hit, leave the bytes an eager save of the same values gives
+    # the file the cli-warm benchmark starts from, 318 degrees in 154
+    # GL2(Z) classes: a miss, then a hit, leave the bytes an eager save of
+    # the same values gives
     reference = os.path.join(
         os.path.dirname(__file__), "..", "perfbench", "reference.json"
     )
@@ -550,7 +616,8 @@ def test_compute_on_the_benchmark_cache_resaves_as_an_eager_save(tmp_path, capsy
         key: RefinedPolynomial(dict(poly.items()))
         for key, poly in load_cache(str(path)).items()
     }
-    assert len(eager) == 318
+    assert len(prefill) == 318
+    assert len(eager) == 154
     assert main(["compute", "P1xP1:2,3", "--cache-path", str(path)]) == 0
     assert main(["compute", "P2:4", "--cache-path", str(path)]) == 0
     d = parse_degree("P1xP1:2,3")

@@ -9,7 +9,8 @@ No multiplicity formula enters, so agreement checks the weighting logic.
 """
 
 from refined_chord import cp2_degree, make_degree, refined_invariant
-from refined_chord.chord_recursion import _default_ends, _invariant, _primitive
+from refined_chord.chord_recursion import _default_ends, _invariant
+from decomposition_reference import _primitive
 from refined_chord.refined_poly import RefinedPolynomial, q_analog
 from conftest import CORPUS
 

@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +16,7 @@ from refined_chord import (
     make_degree,
 )
 from refined_chord.lattice import omega
+from conftest import GL2_MOVES
 
 coords = st.integers(-10**9, 10**9)
 vectors = st.tuples(coords, coords)
@@ -96,11 +99,22 @@ def test_canonical_key_stable_serialization():
     assert canonical_key(d) == "(-1,0);(0,-1);(1,1)"
 
 
+def _class_invariants(vectors):
+    # kept by every A in GL2(Z): |omega(Au, Av)| = |omega(u, v)|, and the
+    # gcd of a vector's entries
+    pairs = sorted(abs(omega(u, v)) for u, v in itertools.combinations(vectors, 2))
+    return pairs, sorted(math.gcd(*v) for v in vectors)
+
+
 def test_canonical_key_collision_free_corpus():
     # >= 10^4 distinct degrees: close every 4-multiset over a small box by
-    # appending its balancing vector, then check keys are injective
+    # appending its balancing vector. The key is a class key: a random
+    # unimodular word leaves it unchanged, and degrees sharing a key share
+    # the invariants every GL2(Z) image keeps
+    rng = random.Random(0)
     box = [v for v in itertools.product(range(-2, 3), repeat=2) if v != (0, 0)]
     seen = {}
+    degrees = 0
     for combo in itertools.combinations_with_replacement(box, 4):
         sx = sum(v[0] for v in combo)
         sy = sum(v[1] for v in combo)
@@ -108,9 +122,18 @@ def test_canonical_key_collision_free_corpus():
         if (0, 0) in vecs:
             continue
         d = make_degree(vecs)
+        degrees += 1
         key = canonical_key(d)
-        assert seen.setdefault(key, d.vectors) == d.vectors
-    assert len(seen) > 10_000
+        image = d.vectors
+        for kind in rng.choices(sorted(GL2_MOVES), k=rng.randint(1, 8)):
+            sign = rng.choice((1, -1))
+            image = [GL2_MOVES[kind](x, y, sign) for x, y in image]
+        assert canonical_key(make_degree(image)) == key, (d.vectors, image)
+        invariants = _class_invariants(d.vectors)
+        assert seen.setdefault(key, invariants) == invariants, d.vectors
+    assert degrees > 10_000
+    # the key merges images: fewer keys than multisets
+    assert len(seen) < degrees
 
 
 def test_cp2_degree_unit_partition():
