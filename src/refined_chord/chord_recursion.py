@@ -183,32 +183,6 @@ def refined_invariant(
     return value
 
 
-def _packed_invariant(vectors, cache, memo, values, bits, parent_vm) -> Packed:
-    """Sub-degree lookup for the sorted tuple ``vectors``, spawned by a chord
-    ending in ``parent_vm``. N(A * D) = N(D) for A in GL2(Z), so any
-    image's value serves: lookups go to ``values`` under ``vectors``, then
-    under its :func:`_class_form`, then to ``cache`` under the form's
-    string, the class's canonical key. Only when all miss is ``vectors``
-    solved, in its own coordinates; its value is written to ``cache`` once
-    per class, and packed to ``values`` under both tuples."""
-    packed = values.get(vectors)
-    if packed is None:
-        form = _class_form(vectors)
-        packed = values.get(form)
-        if packed is None:
-            key = vectors_key(form)
-            hit = cache.get(key)
-            if hit is None:
-                ends = _default_ends(vectors, parent_vm=parent_vm)
-                packed = _chord_sum(vectors, *ends, cache, memo, values, bits)
-                cache[key] = _unpack(packed, bits)
-            else:
-                packed = _pack(key, hit, bits)
-            values[form] = packed
-        values[vectors] = packed
-    return packed
-
-
 def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
     """Sum the recursion over admissible decompositions of ``vectors``.
 
@@ -247,10 +221,15 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
     slots twice as wide. A summand whose ``e1`` is 0 (some sub-degree
     invariants vanish) is skipped, since its ``hi`` means nothing and would
     shift the sum; a block whose own sub-degree invariant vanishes is
-    skipped before its tails are summed. Sub-degree values enter through
-    :func:`_packed_invariant` and are kept packed in ``values``, created
-    with ``memo`` but never cleared: it holds about two entries per
-    sub-degree reached. ``cache`` keeps only unpacked polynomials.
+    skipped before its tails are summed.
+
+    A closed block's value is looked up in ``values`` under its sorted
+    vectors, then under its :func:`_class_form`, then in ``cache`` under the
+    form's string, the class's canonical key: N(A * D) = N(D) for A in
+    GL2(Z), so any image's value serves. Only when all miss is the block
+    solved, in its own coordinates, and ``cache`` written once per class.
+    ``values``, created with ``memo`` and never cleared, keeps the packed
+    value under both tuples; ``cache`` keeps only unpacked polynomials.
 
     The weight of a run of ``r`` identical blocks, taking ``t_v`` of each
     vector ``v`` from a pool of ``c_v``, is ``fam_r = fam_(r-1) * X_r / r``
@@ -326,7 +305,7 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
                 acc, hi, e1 = summand
                 continue
             assert (hi - sh) % 2 == 0
-            if sh <= hi:
+            if sh <= hi:  # inline: a shared refined_poly summing helper cost 16 %
                 acc += sn << (bits * ((hi - sh) >> 1))
             else:
                 acc = (acc << (bits * ((sh - hi) >> 1))) + sn
@@ -350,11 +329,24 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
         fn, fh, fe = _packed_q_analog(abs(sigma), bits)
         acc = hi = e1 = 0
         if n > 1:
-            closed = block + ((ux, uy),)
+            closed = tuple(sorted(block + ((ux, uy),)))
             assert len(closed) < total_len
-            sn, sh, se = _packed_invariant(
-                tuple(sorted(closed)), cache, memo, values, bits, vm
-            )
+            packed = values.get(closed)
+            if packed is None:
+                form = _class_form(closed)
+                packed = values.get(form)
+                if packed is None:
+                    class_key = vectors_key(form)
+                    hit = cache.get(class_key)
+                    if hit is None:
+                        ends = _default_ends(closed, parent_vm=vm)
+                        packed = _chord_sum(closed, *ends, cache, memo, values, bits)
+                        cache[class_key] = _unpack(packed, bits)
+                    else:
+                        packed = _pack(class_key, hit, bits)
+                    values[form] = packed
+                values[closed] = packed
+            sn, sh, se = packed
             fn *= sn
             fh += sh
             fe *= se
@@ -386,7 +378,7 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
                 acc, hi, e1 = sn, sh, se
                 continue
             assert (hi - sh) % 2 == 0
-            if sh <= hi:
+            if sh <= hi:  # inline: a shared refined_poly summing helper cost 16 %
                 acc += sn << (bits * ((hi - sh) >> 1))
             else:
                 acc = (acc << (bits * ((sh - hi) >> 1))) + sn

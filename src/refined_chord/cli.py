@@ -294,11 +294,13 @@ def save_cache(path: str, cache: Dict[str, RefinedPolynomial]) -> None:
 
     The entries go to a temporary file in the target's directory, which then
     replaces the target in one rename, so readers and concurrent writers see
-    either the old file or a complete new one. A failure part way, such as a
-    value no entry can hold, leaves the old file untouched and removes the
+    either the old file or a complete new one; a symlink is resolved first,
+    so its target is replaced and the link kept. A failure part way, such as
+    a value no entry can hold, leaves the old file untouched and removes the
     temporary one. Nothing is synced to disk, so a power loss can still lose
     the latest save.
     """
+    path = os.path.realpath(path)
     # O_EXCL: a name clash fails instead of sharing a file; 0o666 lets the
     # umask set the mode, as a plain open() of the target would
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
@@ -307,14 +309,9 @@ def save_cache(path: str, cache: Dict[str, RefinedPolynomial]) -> None:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(json.dumps({"version": CACHE_VERSION}) + "\n")
             # byte for byte what json.dumps gives for [key, hi, coeffs]: only
-            # the key can need escaping, and a list of ints prints as JSON
-            # does. A loaded entry is written from the hi and coefficients
-            # it was read from, without building its term map.
+            # the key can need escaping, and a list of ints prints as JSON does
             for key, poly in sorted(cache.items()):
-                if type(poly) is _Deferred:
-                    hi, coeffs = poly._hi, poly._coeffs
-                else:
-                    hi, coeffs = _dense(key, poly)
+                hi, coeffs = _dense(key, poly)
                 fh.write(f"[{encode_basestring_ascii(key)}, {hi}, {coeffs}]\n")
         os.replace(tmp, path)
     except BaseException:
@@ -337,10 +334,13 @@ def cmd_compute(args) -> int:
     vm = parse_vector(args.vm) if args.vm else None
     cache_path = args.cache_path or os.environ.get(CACHE_ENV)
     cache: Dict[str, RefinedPolynomial] = {}
-    if cache_path and os.path.exists(cache_path):
+    if cache_path and os.path.isfile(cache_path):
         cache = load_cache(cache_path)
-    elif cache_path and not os.path.isdir(os.path.dirname(cache_path) or "."):
-        # the save would fail, so fail before the computation
+    elif cache_path and os.path.exists(cache_path):  # a directory, FIFO or device
+        raise OSError(f"{cache_path}: not a regular file, so not a cache file")
+    elif cache_path and not os.path.isdir(
+        os.path.dirname(os.path.realpath(cache_path))
+    ):  # the save, through any symlink, would fail, so fail before computing
         raise FileNotFoundError(f"{cache_path}: no such directory for the cache file")
     known = len(cache)
     value = refined_invariant(d, v1=v1, vm=vm, cache=cache)

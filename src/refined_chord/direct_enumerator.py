@@ -204,7 +204,7 @@ def _packed_count(vectors, mu: Sequence[int], bits: int) -> Packed:
         if scale != 1:
             entries = [(num * (scale // det), det, wn, wh, we) for num, det, wn, wh, we in entries]
         entries.sort(key=key_of)
-        tails = []
+        tails = []  # one pass: two accumulate passes at the top hi cost 23 %
         acc = hi = e1 = 0
         for _, _, wn, wh, we in reversed(entries):
             if not e1:

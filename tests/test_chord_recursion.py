@@ -525,15 +525,28 @@ def test_packed_product_matches_operator(a, b):
     assert refined_poly._unpack(product, bits) == a * b
 
 
-# mixed parity is checked end to end in test_cli.py
+# mixed parity is also checked end to end in test_cli.py
 @pytest.mark.parametrize(
-    "terms",
-    [{2: 1, 0: -1, -2: 1}, {2: 1, 0: 3}],
-    ids=["negative", "not-palindromic"],
+    "value",
+    [
+        P({2: 1, 0: -1, -2: 1}),
+        P({2: 1, 0: 3}),
+        P({1: 1, 0: 1}),
+        refined_poly._Deferred(2, [1, -1, 1]),
+        # a line the loader accepts; hi 4 with two coefficients is q^2 + q
+        refined_poly._Deferred(4, [1, 1]),
+    ],
+    ids=[
+        "negative",
+        "not-palindromic",
+        "mixed-parity",
+        "deferred-negative",
+        "deferred-not-palindromic",
+    ],
 )
-def test_pack_refuses_unpackable_value(terms):
+def test_pack_refuses_unpackable_value(value):
     with pytest.raises(ValueError, match="some-key"):
-        refined_poly._pack("some-key", P(terms), 64)
+        refined_poly._pack("some-key", value, 64)
 
 
 def test_top_level_cache_hit_is_returned_as_stored():

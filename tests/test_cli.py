@@ -1,5 +1,9 @@
 import json
 import os
+import shutil
+import stat
+import subprocess
+import sys
 import time
 
 import pytest
@@ -665,6 +669,42 @@ def test_compute_cache_path_is_a_directory_exits_2(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+def test_compute_cache_path_is_a_fifo_exits_2(tmp_path):
+    # in a child process: a build that reads the FIFO blocks in open()
+    fifo = tmp_path / "memo.jsonl"
+    os.mkfifo(fifo)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    run = subprocess.run(
+        [sys.executable, "-m", "refined_chord.cli", "compute", "P2:3",
+         "--cache-path", str(fifo)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: ") and str(fifo) in run.stderr
+    assert run.stdout == ""
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+def test_compute_saves_through_a_symlinked_cache_path(tmp_path, capsys):
+    # the save replaces the link's target and keeps the link
+    real = tmp_path / "real.jsonl"
+    assert main(["compute", "P2:3", "--cache-path", str(real)]) == 0
+    direct = tmp_path / "direct.jsonl"
+    shutil.copy(real, direct)
+    link = tmp_path / "link.jsonl"
+    link.symlink_to("real.jsonl")
+    assert main(["compute", "P2:4", "--cache-path", str(link)]) == 0
+    assert main(["compute", "P2:4", "--cache-path", str(direct)]) == 0
+    assert link.is_symlink() and os.readlink(link) == "real.jsonl"
+    assert real.read_bytes() == direct.read_bytes()
+    assert not list(tmp_path.glob("*.tmp"))
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == out[2]
+
+
 def test_compute_cache_path_in_missing_directory_exits_2(tmp_path, capsys):
     path = tmp_path / "missing" / "memo.jsonl"
     assert main(["compute", "P2:3", "--cache-path", str(path)]) == 2
@@ -673,3 +713,14 @@ def test_compute_cache_path_in_missing_directory_exits_2(tmp_path, capsys):
     assert captured.err.startswith("error: ")
     assert str(path) in captured.err
     assert not path.parent.exists()
+
+
+def test_compute_symlink_into_missing_directory_exits_2(tmp_path, capsys):
+    # the save would follow the link, so its target's directory is checked
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(tmp_path / "missing" / "memo.jsonl")
+    assert main(["compute", "P2:3", "--cache-path", str(link)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # refused before the computation
+    assert str(link) in captured.err
+    assert link.is_symlink() and os.listdir(tmp_path) == ["link.jsonl"]

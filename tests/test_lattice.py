@@ -15,6 +15,7 @@ from refined_chord import (
     cp2_degree,
     make_degree,
 )
+from refined_chord.cli import parse_degree
 from refined_chord.lattice import omega
 from conftest import GL2_MOVES
 
@@ -97,6 +98,39 @@ def test_canonical_key_distinct_multisets():
 def test_canonical_key_stable_serialization():
     d = make_degree([(1, 1), (0, -1), (-1, 0)])
     assert canonical_key(d) == "(-1,0);(0,-1);(1,1)"
+
+
+# The keys persisted cache files are read under. Changing any of them (for
+# instance which representative _normal_form picks) makes every saved file
+# miss silently, so it needs a CACHE_VERSION bump in refined_chord.cli.
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ("P1xP1:2,2", "(-1,0);(-1,0);(0,-1);(0,-1);(0,1);(0,1);(1,0);(1,0)"),
+        (
+            "(1,0),(0,1),(-1,-1),(-1,0),(0,-1),(1,1)",
+            "(-1,-1);(-1,0);(0,-1);(0,1);(1,0);(1,1)",
+        ),
+        ("(1,0)^3,(-3,0)", "(-3,0);(1,0);(1,0);(1,0)"),
+        ("P2:3:2,1", "(-2,-2);(-1,-1);(0,1);(0,1);(0,1);(1,0);(1,0);(1,0)"),
+        (
+            "P2:4:2,2",
+            "(-2,-2);(-2,-2);(0,1);(0,1);(0,1);(0,1);(1,0);(1,0);(1,0);(1,0)",
+        ),
+        (
+            "P2:4",
+            "(-1,-1);(-1,-1);(-1,-1);(-1,-1);(0,1);(0,1);(0,1);(0,1);"
+            "(1,0);(1,0);(1,0);(1,0)",
+        ),
+        (
+            "(-1,0)^4,(-1,-1)^4,(2,1)^4",  # P2:4 sheared by (x, y) -> (x + y, y)
+            "(-1,-1);(-1,-1);(-1,-1);(-1,-1);(0,1);(0,1);(0,1);(0,1);"
+            "(1,0);(1,0);(1,0);(1,0)",
+        ),
+    ],
+)
+def test_canonical_key_is_pinned(spec, key):
+    assert canonical_key(parse_degree(spec)) == key
 
 
 def _class_invariants(vectors):
