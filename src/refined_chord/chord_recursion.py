@@ -56,9 +56,10 @@ from .refined_poly import (
 _ONE = RefinedPolynomial.one()
 
 # suffix states and block summands per top-level memo: P2:10 peaks at 86,631
-# (52 MB peak, 2.5 s) and P2:11 at 137,843 (80 MB, 8 s), so no triangle degree
-# up to 11 reaches the guard. Clearing costs time, not values. Sub-degree
-# values (1,125 and 1,497) are kept apart and never cleared.
+# (52 MB peak) and P2:11 at 137,843 (80 MB), so no triangle degree up to 11
+# reaches the guard; P2:13 and P2:14 do, and clear it 2 and 11 times. Clearing
+# costs time, not values. Sub-degree values (1,125 and 1,497) are kept apart
+# and never cleared.
 SUFFIX_MEMO_GUARD = 250_000
 
 
@@ -86,8 +87,8 @@ def _sub_multisets(pool):
     ``candidates``, counted by wrapping this generator by name, read 0.
     Deleting it would turn both into ``null``, which fails
     ``tests/test_perfbench_quick.py::test_workload_result_line_is_well_formed``.
-    It leaves ``src`` with the ``Stats`` item of ROADMAP.md, once the
-    tracer reads its counts from the engine.
+    The engine does not stream through it because that measured slower:
+    chord-cold ``wall_s`` went from 0.170 to 0.190 s.
     """
     vecs = [v for v, _ in pool]
     counts = [c for _, c in pool]
@@ -154,12 +155,13 @@ def refined_invariant(
     generic boundary constraints.
 
     ``cache`` is an optional memo store mapping canonical degree keys to
-    polynomials; it is consulted and updated for every sub-degree. When
-    ``v1``/``vm`` are supplied the top-level value is recomputed with that
-    chord (so end-choice invariance can be observed), and its entry is
-    neither read nor written. Entries are only ever written with a degree's
-    final value, so sharing a cache across threads is safe: concurrent
-    duplicate work can happen, concurrent wrong answers cannot.
+    polynomials; it is consulted and updated for every sub-degree. A given
+    ``v1`` or ``vm`` that is not an end of ``d`` raises
+    :class:`VectorNotInDegree`, even at 2 ends; otherwise the top-level value
+    is recomputed with that chord (so end-choice invariance can be observed),
+    and its entry is neither read nor written. Entries are only ever written
+    with a degree's final value, so sharing a cache across threads is safe:
+    concurrent duplicate work can happen, concurrent wrong answers cannot.
 
     A cached value, of a sub-degree or of ``d`` itself, must be
     nonnegative, palindromic and of uniform parity, as every computed value
@@ -167,6 +169,8 @@ def refined_invariant(
     """
     cache = {} if cache is None else cache
     if d.m == 2:
+        if v1 is not None or vm is not None:
+            _remove_ends(d.vectors, *[v for v in (v1, vm) if v is not None])
         return _ONE
     key = None
     if v1 is None and vm is None:

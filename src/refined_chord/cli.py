@@ -64,7 +64,9 @@ class CacheVersionError(CacheFormatError):
 
 
 _VEC = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
-_EXPONENT = re.compile(r"\^(\d+)")
+# a vector, its exponent if any, and the blanks before a separator
+_ITEM = re.compile(_VEC.pattern + r"(\^\d*)?\s*")
+_BLANKS = re.compile(r"\s*")
 
 
 def _normalize(text: str) -> str:
@@ -136,29 +138,20 @@ def _parse_p1xp1(s: str) -> Degree:
 def _parse_vector_list(s: str) -> Degree:
     vecs: List[Vec] = []
     pos = 0
-    n = len(s)
-    while pos < n:
-        while pos < n and s[pos].isspace():
-            pos += 1
-        mo = _VEC.match(s, pos)
+    while pos < len(s):
+        pos = _BLANKS.match(s, pos).end()
+        mo = _ITEM.match(s, pos)
         if not mo:
             raise ParseError("expected a vector '(x,y)'", pos)
-        vec = (int(mo.group(1)), int(mo.group(2)))
+        x, y, exponent = mo.groups()
+        mult = int(exponent[1:] or 0) if exponent else 1
+        if mult < 1:
+            raise ParseError("exponent must be a positive integer", mo.start(3))
+        vecs += [(int(x), int(y))] * mult
         pos = mo.end()
-        mult = 1
-        if pos < n and s[pos] == "^":
-            mo2 = _EXPONENT.match(s, pos)
-            if not mo2 or int(mo2.group(1)) < 1:
-                raise ParseError("exponent must be a positive integer", pos)
-            mult = int(mo2.group(1))
-            pos = mo2.end()
-        vecs.extend([vec] * mult)
-        while pos < n and s[pos].isspace():
-            pos += 1
-        if pos < n:
-            if s[pos] != ",":
-                raise ParseError("expected ',' between vectors", pos)
-            pos += 1
+        if pos < len(s) and s[pos] != ",":
+            raise ParseError("expected ',' between vectors", pos)
+        pos += 1  # past the comma, or past the end
     return make_degree(vecs)
 
 
@@ -182,7 +175,7 @@ def load_cache(path: str) -> Dict[str, RefinedPolynomial]:
     try:
         header = json.loads(header_line)
         version = header["version"]
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, RecursionError) as exc:
         raise CacheFormatError(
             f"{path}: line 1 is not a cache header ({_describe(exc)})"
         ) from None
@@ -198,7 +191,7 @@ def load_cache(path: str) -> Dict[str, RefinedPolynomial]:
         )
     try:
         return _decode_entries(list(filter(str.strip, lines)))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # json.loads of too deep nesting
         bulk_error = exc
     # locate the first bad line, or the first to repeat a key
     line_of: Dict[str, int] = {}
@@ -207,7 +200,7 @@ def load_cache(path: str) -> Dict[str, RefinedPolynomial]:
             try:
                 entry = json.loads(line)
                 reason = _bad_entry(entry)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 reason = _describe(exc)
             if not reason and line_of.setdefault(entry[0], number) != number:
                 reason = f"key {json.dumps(entry[0])} repeats line {line_of[entry[0]]}"

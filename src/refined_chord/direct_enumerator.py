@@ -64,17 +64,15 @@ class GenericityFailure(RuntimeError):
 def sample_generic_moments(d: Degree, seed: int) -> Tuple[int, ...]:
     """Deterministic wide-range integer moments for the ends of ``d``.
 
-    The first ``m-1`` moments are drawn uniformly (scaled by a small
-    seed-dependent factor) and the last closes the sum to zero, so the
-    zero-sum condition holds exactly by construction. All moments are kept
-    pairwise distinct; degeneracies subtler than that are detected during
-    solving and handled by the caller's redraw loop.
+    The first ``m-1`` moments are drawn uniformly and the last closes the
+    sum to zero, so the zero-sum condition holds exactly by construction.
+    All moments are kept pairwise distinct; degeneracies subtler than that
+    are detected during solving and handled by the caller's redraw loop.
     """
     rng = random.Random(seed)
-    scale = 1 + abs(seed) % 5
     m = d.m
     while True:
-        mus = [scale * rng.randint(-(10**6), 10**6) for _ in range(m - 1)]
+        mus = [rng.randint(-(10**6), 10**6) for _ in range(m - 1)]
         mus.append(-sum(mus))
         if len(set(mus)) == m:
             return tuple(mus)

@@ -15,6 +15,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 from typing import Iterable, Sequence, Tuple
 
 Vec = Tuple[int, int]
@@ -73,9 +74,9 @@ def make_degree(vectors: Iterable[Vec]) -> Degree:
     """Validate and canonicalize a list of vectors into a :class:`Degree`.
 
     Raises :class:`TooSmall`, :class:`ZeroVector` or :class:`NonZeroSum`
-    when the input is not a degree.
+    when the input is not a degree, ``TypeError`` for a float or a string.
     """
-    vecs = tuple(sorted((int(x), int(y)) for x, y in vectors))
+    vecs = tuple(sorted((index(x), index(y)) for x, y in vectors))
     sx = sum(v[0] for v in vecs)
     sy = sum(v[1] for v in vecs)
     if (sx, sy) != (0, 0):
@@ -152,7 +153,7 @@ def cp2_degree(d: int, parts: Sequence[int]) -> Degree:
     and one ``(0,-p)`` per part ``p``. ``parts`` must be positive integers
     summing to ``d``; any order is accepted (multisets do not care).
     """
-    parts = sorted((int(p) for p in parts), reverse=True)
+    parts = sorted(map(index, parts), reverse=True)
     if d < 1:
         raise BadPartition(f"degree must be positive, got {d}")
     if any(p <= 0 for p in parts):

@@ -95,6 +95,16 @@ def test_missing_end_rejected():
         refined_invariant(d, v1=(1, 1), vm=(1, 1))  # multiplicity 1 only
 
 
+def test_missing_end_rejected_at_two_ends():
+    # the 2-end base case checks a given end as a 3-end degree does
+    d = make_degree([(1, 0), (-1, 0)])
+    for ends in [{"v1": (5, 5)}, {"vm": (5, 5)}, {"v1": (1, 0), "vm": (1, 0)}]:
+        with pytest.raises(VectorNotInDegree):
+            refined_invariant(d, **ends)
+    for ends in [{"v1": (1, 0)}, {"vm": (1, 0)}, {"v1": (-1, 0), "vm": (1, 0)}]:
+        assert refined_invariant(d, **ends) == P.one()
+
+
 def test_equal_ends_allowed_with_multiplicity():
     d = cp2_degree(2, [2])
     same = refined_invariant(d, v1=(-1, 0), vm=(-1, 0))

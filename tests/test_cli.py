@@ -86,6 +86,48 @@ def test_parse_error_positions():
     assert err.value.pos == 9
 
 
+_EXPONENT_ERROR = "exponent must be a positive integer"
+_COMMA_ERROR = "expected ',' between vectors"
+_VECTOR_ERROR = "expected a vector '(x,y)'"
+
+
+@pytest.mark.parametrize(
+    "spec,expected",
+    [
+        ("(1,0)^", (_EXPONENT_ERROR, 5)),
+        ("(1,0)^0,(-1,0)", (_EXPONENT_ERROR, 5)),
+        ("(1,0)^ 2,(-2,0)", (_EXPONENT_ERROR, 5)),
+        ("(1,0)^x", (_EXPONENT_ERROR, 5)),
+        ("(1,0) ^2,(-2,0)", (_COMMA_ERROR, 6)),
+        ("(1,0)(-1,0)", (_COMMA_ERROR, 5)),
+        ("(1,0)^2x", (_COMMA_ERROR, 7)),
+        ("(1,0),,(-1,0)", (_VECTOR_ERROR, 6)),
+        (",(1,0),(-1,0)", (_VECTOR_ERROR, 0)),
+        ("(1,0),(-1,0),", ((-1, 0), (1, 0))),
+        ("  (1,0) , (-1,0)  ", ((-1, 0), (1, 0))),
+        ("(1,0),( -1 , 0 )", ((-1, 0), (1, 0))),
+        ("(1,0)^01,(-1,0)", ((-1, 0), (1, 0))),
+        ("(1, 0)^2,(-2,0)", ((-2, 0), (1, 0), (1, 0))),
+        ("(1,0)^2 ,(-2,0)", ((-2, 0), (1, 0), (1, 0))),
+        # an Arabic-Indic digit three, which \d accepts
+        ("(٣,0),(-3,0)", ((-3, 0), (3, 0))),
+    ],
+)
+def test_vector_list_grammar(spec, expected):
+    # each spec gives its sorted vectors, or a ParseError's message and
+    # position
+    if isinstance(expected[0], str):
+        message, pos = expected
+        with pytest.raises(ParseError) as err:
+            parse_degree(spec)
+        assert (str(err.value), err.value.pos) == (
+            f"{message} (at position {pos})",
+            pos,
+        )
+    else:
+        assert parse_degree(spec).vectors == expected
+
+
 def test_render_partition():
     assert render_partition((1, 1, 1)) == "1^3"
     assert render_partition((2, 1, 1)) == "2,1^2"
@@ -113,6 +155,13 @@ def test_compute_base_case(capsys):
 def test_compute_explicit_ends(capsys):
     assert main(["compute", "P2:3", "--v1", "(-1,0)", "--vm", "(1,1)"]) == 0
     assert capsys.readouterr().out.strip() == "q + 7 + q^-1"
+
+
+def test_compute_refuses_a_missing_end_of_a_two_end_degree(capsys):
+    assert main(["compute", "(1,0),(-1,0)", "--v1", "(5,5)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: (5, 5) cannot be removed")
 
 
 def test_compute_parse_error_exit_code(capsys):
@@ -347,6 +396,7 @@ def test_cache_loader_zero_polynomials(tmp_path):
 _HEADER = '{"version": 3}\n'
 _ENTRY = '["(-1,0);(0,-1);(1,1)", 0, [1]]'
 _OTHER = '["(-2,0);(0,-2);(2,2)", 1, [1, 1]]'
+_DEEP = "[" * 100_000 + "]" * 100_000
 
 MALFORMED_CACHES = {
     # name: (file contents, number of the line named in the error)
@@ -387,6 +437,9 @@ MALFORMED_CACHES = {
     "empty-coefficients-nonzero-exponent": (_HEADER + _ENTRY + '\n["k", 2, []]\n', 3),
     # one key twice; a dict would keep the later value, here 5 for P2:1
     "duplicate-key": (_HEADER + _ENTRY + "\n" + _OTHER + "\n" + _ENTRY.replace("[1]", "[5]") + "\n", 4),
+    # nesting too deep for the JSON decoder, which raises RecursionError
+    "deep-header": (_DEEP + "\n" + _ENTRY + "\n", 1),
+    "deep-entry": (_HEADER + _ENTRY + "\n" + _DEEP + "\n", 3),
 }
 
 

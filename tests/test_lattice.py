@@ -194,6 +194,27 @@ def test_cp2_degree_rejects_bad_partitions():
         cp2_degree(0, [])
 
 
+@pytest.mark.parametrize(
+    "build,arg",
+    [
+        (make_degree, [(1.5, 0), (-1.5, 0)]),
+        (make_degree, [(1.9, 0), (0, 1.9), (-1, -1)]),
+        (make_degree, [("1", 0), (-1, 0)]),
+        (lambda parts: cp2_degree(2, parts), [1.5, 0.5]),
+        (lambda parts: cp2_degree(2, parts), [1.9, 1]),
+        (lambda parts: cp2_degree(1, parts), ["1"]),
+    ],
+    ids=[
+        "float", "float-truncating-to-P2:1", "string",
+        "float-part", "float-part-truncating-to-P2:2", "string-part",
+    ],
+)
+def test_non_integral_coordinates_are_refused(build, arg):
+    # int() would truncate or parse these; 1.9 would make a valid degree
+    with pytest.raises(TypeError):
+        build(arg)
+
+
 def test_degree_is_hashable_and_immutable():
     d = cp2_degree(1, [1])
     assert hash(d) == hash(make_degree([(1, 1), (0, -1), (-1, 0)]))
