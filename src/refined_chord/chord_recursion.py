@@ -55,12 +55,23 @@ from .refined_poly import (
 
 _ONE = RefinedPolynomial.one()
 
-# suffix states and block summands per top-level memo: P2:10 peaks at 86,631
-# (52 MB peak) and P2:11 at 137,843 (80 MB), so no triangle degree up to 11
-# reaches the guard; P2:13 and P2:14 do, and clear it 2 and 11 times. Clearing
-# costs time, not values. Sub-degree values (1,125 and 1,497) are kept apart
-# and never cleared.
-SUFFIX_MEMO_GUARD = 250_000
+# sigma passers held in the (vm, pool) records of one top-level memo, each
+# with at most one summand: P2:10 peaks at 105,248 (44 MB peak), P2:11 at
+# 179,119 (64 MB) and P2:12 at 276,990 (103 MB), so no triangle degree up to
+# 12 reaches the guard; P2:13 clears it once and P2:14 10 times. Chosen by
+# bytes: at 500,000 cold P2:14 took 191 MB, at this guard 154 MB. Clearing
+# costs time, not values. Sub-degree values are kept apart, never cleared.
+SUFFIX_MEMO_GUARD = 400_000
+
+
+class _Records(dict):
+    """The memo of :func:`_chord_sum`: each ``(vm, pool)``'s sigma passers,
+    with ``passers`` counting those held in all records."""
+
+    __slots__ = ("passers",)
+
+    def __init__(self):
+        self.passers = 0
 
 
 class VectorNotInDegree(ValueError):
@@ -120,12 +131,13 @@ def _default_ends(
 
     A given ``v1`` or ``vm`` is kept and only the other end is chosen.
     Correctness never depends on the choice, only the work does. Fewer
-    distinct vectors is a coarse proxy for fewer decompositions. Suffix
-    states are shared per ``vm`` across the sub-degrees of one call (see
+    distinct vectors is a coarse proxy for fewer decompositions. Pool
+    records are shared per ``vm`` across the sub-degrees of one call (see
     :func:`_chord_sum`), so a sub-degree that reuses the ``vm`` of the chord
     that spawned it (``parent_vm``; None at the top level) can find its
-    states already summed. Preferring ``omega(v1, vm) <= 0`` is empirical:
-    it took fewer candidate blocks on the benchmark degrees.
+    pools already streamed and their summands already summed. Preferring
+    ``omega(v1, vm) <= 0`` is empirical: it took fewer candidate blocks on
+    the benchmark degrees.
     """
     counts = Counter(vectors)
     values = sorted(counts)
@@ -181,7 +193,9 @@ def refined_invariant(
             return hit
     if v1 is None or vm is None:
         v1, vm = _default_ends(d.vectors, v1, vm)
-    value = _widening(lambda bits: _chord_sum(d.vectors, v1, vm, cache, {}, {}, bits))
+    value = _widening(
+        lambda bits: _chord_sum(d.vectors, v1, vm, cache, _Records(), {}, bits)
+    )
     if key is not None:
         cache[key] = value
     return value
@@ -193,33 +207,40 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
     Runs of identical blocks are chosen atomically (they share one sigma,
     since advancing ``w`` by ``u`` leaves ``omega(w, u)`` unchanged), with
     the exact count of unordered labeled families as integer weight. The
-    choice of the next group only interacts with the past through the
-    remaining pool, the direction of the previous ``sigma*u`` and the
-    previous block key, so suffix sums are memoized on that state; the
-    chord slope ``w`` is itself a function of the remaining pool. The last
-    two only decide which blocks a state admits, so ``block_summand``
-    memoizes a block's summand, over every run length ``r``, under
-    ``(vm, pool, take vector)`` for every state that admits the block.
+    choice of the next group only interacts with the past through its
+    state: the remaining pool, the direction of the previous ``sigma*u``
+    and the previous block key. The chord slope ``w`` is itself a function
+    of the remaining pool, and so are both sigma rules; the last two parts
+    only decide which blocks a state admits. So the first visit of a pool
+    streams its candidates once and keeps those passing the sigma rules,
+    the pool's passers, in one record, each with a slot for its summand over
+    every run length ``r``. Every state of the pool, that visit included,
+    loops over the record, applies the cross and tie rules and adds up the
+    summands of the passers it admits; the first state that admits a passer
+    fills its slot through ``block_summand``. A state's own sum is not
+    stored.
 
-    A state never depends on ``v1``: the degree sums to zero, so
+    A record never depends on ``v1``: the degree sums to zero, so
     ``w = vm + sum(remaining pool)``. One ``memo`` therefore serves every
-    sub-degree of a top-level call, keyed by ``vm`` and the state. Each
+    sub-degree of a top-level call, keyed by ``(vm, pool)``. Each
     sub-degree is solved with ``parent_vm`` set to this chord's ``vm`` (see
     :func:`_default_ends`), so where its pool allows, it ends its chord in
-    the same ``vm`` and meets states already summed. :func:`refined_invariant`
-    creates the memo afresh at each slot width and drops it when the call
-    returns; it is never stored in ``cache`` (which callers persist), and is
-    cleared before a store whenever it holds ``SUFFIX_MEMO_GUARD`` states
-    and summands, which costs time but changes no value. ``suffix_sum`` and
-    ``block_summand`` refer to each other through their closure cells, a
-    reference cycle that would keep the memo alive until the cyclic garbage
-    collector runs; deleting both names on exit breaks the cycle, so
-    reference counting frees the memo as soon as the call returns.
+    the same ``vm`` and meets records already streamed and filled.
+    :func:`refined_invariant` creates the memo afresh at each slot width and
+    drops it when the call returns; it is never stored in ``cache`` (which
+    callers persist). It counts the passers its records hold, each with at
+    most one summand, and is cleared before a record is stored whenever
+    that record would take the count past ``SUFFIX_MEMO_GUARD``, which
+    costs time but changes no value. ``suffix_sum`` and ``block_summand``
+    refer to each other through their closure cells, a reference cycle
+    that would keep the memo alive until the cyclic garbage collector runs;
+    deleting both names on exit breaks the cycle, so reference counting
+    frees the memo as soon as the call returns.
 
     Values are packed as ``(n, hi, e1)``, one int of coefficient slots with
     the highest half-exponent and the exact value at q = 1 (see
     :mod:`refined_chord.refined_poly`): a product is one bigint multiply and
-    a sum a shift-add. ``e1 < 2**bits`` at every stored state total proves
+    a sum a shift-add. ``e1 < 2**bits`` at every state total proves
     that no slot carried, in it or in the summands it adds up; otherwise
     :class:`_SlotOverflow` makes :func:`refined_invariant` retry with the
     slots twice as wide. A summand whose ``e1`` is 0 (some sub-degree
@@ -242,51 +263,58 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
     the ``r``-th block after an unordered ``r - 1``, which is ``r * fam_r``.
 
     Candidate blocks are streamed as per-vector take counts with the block
-    size ``n`` and ``u`` kept as running sums, and rejected in this order,
-    the first three before the block tuple is built: ``sigma == 0``;
-    ``sigma > 0`` with ``n > 1``; ``omega(prev_su_dir, u) * sigma < 0``; and, for ``u``
-    colinear with the previous ``sigma*u``, ``block <= prev_key``. The tie
-    rule is ``<=`` where the decomposition stream of
-    ``tests/decomposition_reference.py`` uses ``<``, because the ``r`` loop
-    already takes a run of identical blocks together, so letting an equal
-    block follow would count that run a second time. A summand found in
-    the memo needs no block tuple.
+    size ``n`` and ``u`` kept as running sums. A record keeps those with
+    neither ``sigma == 0`` nor ``sigma > 0`` with ``n > 1``; a state then
+    rejects, before any block tuple is built, ``omega(prev_su_dir, u) *
+    sigma < 0``, and, for ``u`` colinear with the previous ``sigma*u``,
+    ``block <= prev_key``. The tie rule is ``<=`` where the decomposition
+    stream of ``tests/decomposition_reference.py`` uses ``<``, because the
+    ``r`` loop already takes a run of identical blocks together, so letting
+    an equal block follow would count that run a second time. A filled summand
+    needs no block tuple.
     """
     pool_items = tuple(sorted(_remove_ends(vectors, v1, vm).items()))
     total_len = len(vectors)
 
     def suffix_sum(pool_items, w, prev_su_dir, prev_key):
-        state = (vm, pool_items, prev_su_dir, prev_key)
-        hit = memo.get(state)
-        if hit is not None:
-            return hit
         vecs, counts = zip(*pool_items)
-        k = len(counts)
         w0, w1 = w
-        acc = hi = e1 = 0
-        takes = [0] * k
-        n = ux = uy = 0
-        while True:
-            # next take vector, odometer order; n and u follow incrementally
-            i = 0
-            while i < k:
-                if takes[i] < counts[i]:
-                    takes[i] += 1
-                    n += 1
-                    ux -= vecs[i][0]
-                    uy -= vecs[i][1]
+        record = memo.get((vm, pool_items))
+        if record is None:
+            record = []
+            k = len(counts)
+            takes = [0] * k
+            n = ux = uy = 0
+            while True:
+                # next take vector, odometer order; n and u follow incrementally
+                i = 0
+                while i < k:
+                    if takes[i] < counts[i]:
+                        takes[i] += 1
+                        n += 1
+                        ux -= vecs[i][0]
+                        uy -= vecs[i][1]
+                        break
+                    t = takes[i]
+                    takes[i] = 0
+                    n -= t
+                    ux += t * vecs[i][0]
+                    uy += t * vecs[i][1]
+                    i += 1
+                else:
                     break
-                t = takes[i]
-                takes[i] = 0
-                n -= t
-                ux += t * vecs[i][0]
-                uy += t * vecs[i][1]
-                i += 1
-            else:
-                break
-            sigma = w0 * uy - w1 * ux  # omega(w, u)
-            if sigma == 0 or (sigma > 0 and n > 1):
-                continue
+                sigma = w0 * uy - w1 * ux  # omega(w, u)
+                if sigma == 0 or (sigma > 0 and n > 1):
+                    continue
+                record.append([ux, uy, sigma, n, tuple(takes), None])
+            if memo.passers + len(record) > SUFFIX_MEMO_GUARD:
+                memo.clear()  # inline: a helper call cost 1.8 %
+                memo.passers = 0
+            memo.passers += len(record)
+            memo[vm, pool_items] = record
+        acc = hi = e1 = 0
+        for cand in record:
+            ux, uy, sigma, n, takes, summand = cand
             if prev_su_dir is not None:
                 cross = prev_su_dir[0] * uy - prev_su_dir[1] * ux
                 if cross * sigma < 0:
@@ -298,10 +326,10 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
                             block += (v,) * t
                     if block <= prev_key:
                         continue
-            key = (vm, pool_items, tuple(takes))
-            summand = memo.get(key)
             if summand is None:
-                summand = block_summand(key, vecs, counts, n, ux, uy, sigma, w0, w1)
+                summand = cand[5] = block_summand(
+                    vecs, counts, takes, n, ux, uy, sigma, w0, w1
+                )
             sn, sh, se = summand
             if not se:
                 continue  # a vanishing summand's hi means nothing
@@ -317,15 +345,10 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
             e1 += se
         if e1 >> bits:
             raise _SlotOverflow
-        total = (acc, hi, e1)
-        if len(memo) >= SUFFIX_MEMO_GUARD:  # inline: a helper call cost 1.8 %
-            memo.clear()
-        memo[state] = total
-        return total
+        return acc, hi, e1
 
-    def block_summand(key, vecs, counts, n, ux, uy, sigma, w0, w1):
-        # every run of r >= 1 blocks taking key[2] from the pool, summed
-        takes = key[2]
+    def block_summand(vecs, counts, takes, n, ux, uy, sigma, w0, w1):
+        # every run of r >= 1 blocks taking ``takes`` from the pool, summed
         block = ()
         for v, t in zip(vecs, takes):
             if t:
@@ -388,11 +411,7 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
                 acc = (acc << (bits * ((sh - hi) >> 1))) + sn
                 hi = sh
             e1 += se
-        total = (acc, hi, e1)
-        if len(memo) >= SUFFIX_MEMO_GUARD:  # inline: a helper call cost 1.8 %
-            memo.clear()
-        memo[key] = total
-        return total
+        return acc, hi, e1
 
     try:
         return suffix_sum(pool_items, (-v1[0], -v1[1]), None, None)

@@ -9,6 +9,10 @@ Degree grammar accepted by every command:
 * ``P1xP1:a,b`` for the rectangle degree with b horizontal and a vertical
   pairs of opposite ends.
 
+Every integer, macro fields included, is an optional minus sign and
+decimal digits, and a spec of more than ``PARSE_END_GUARD`` ends is refused
+before its vectors are built.
+
 Exit codes: 0 success, 1 cross-check mismatch (``verify``), 2 parse or
 validation errors, guard violations and a cache path that cannot be read
 or written. Results go to stdout, diagnostics to stderr. The environment
@@ -43,6 +47,9 @@ from .refined_poly import RefinedPolynomial, _Deferred, _dense
 CACHE_ENV = "REFINED_CHORD_CACHE"
 CACHE_VERSION = 3
 TABLE_DEGREE_GUARD = 8
+# ends a degree spec may describe, checked before any vector list is built;
+# far above what compute can finish (P2:14 has 42)
+PARSE_END_GUARD = 10_000
 
 
 class ParseError(ValueError):
@@ -63,7 +70,8 @@ class CacheVersionError(CacheFormatError):
     """The cache file announces a format version this build cannot read."""
 
 
-_VEC = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
+_INT = re.compile(r"-?\d+")
+_VEC = re.compile(rf"\(\s*({_INT.pattern})\s*,\s*({_INT.pattern})\s*\)")
 # a vector, its exponent if any, and the blanks before a separator
 _ITEM = re.compile(_VEC.pattern + r"(\^\d*)?\s*")
 _BLANKS = re.compile(r"\s*")
@@ -95,10 +103,14 @@ def parse_degree(spec: str) -> Degree:
 
 
 def _parse_int(text: str, what: str, pos: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"expected an integer {what}, got {text!r}", pos) from None
+    if not _INT.fullmatch(text):
+        raise ParseError(f"expected an integer {what}, got {text!r}", pos)
+    return int(text)
+
+
+def _check_ends(ends: int, pos: int) -> None:
+    if ends > PARSE_END_GUARD:
+        raise ParseError(f"more than {PARSE_END_GUARD} ends", pos)
 
 
 def _parse_ints(text: str, what: str, pos: int) -> List[int]:
@@ -117,8 +129,10 @@ def _parse_p2(s: str) -> Degree:
         raise ParseError("malformed P2 macro, expected P2:d or P2:d:l1,l2,...", 0)
     d = _parse_int(parts[1], "degree", 3)
     if len(parts) == 2:
+        _check_ends(3 * d, 3)
         return cp2_degree(d, [1] * d)
     lam = _parse_ints(parts[2], "partition part", 4 + len(parts[1]))
+    _check_ends(2 * d + len(lam), 3)
     return cp2_degree(d, lam)
 
 
@@ -130,6 +144,7 @@ def _parse_p1xp1(s: str) -> Degree:
     if a < 1 or b < 1:
         pos = 6 if a < 1 else 7 + body.index(",")
         raise ParseError(f"P1xP1 counts must be positive, got {a},{b}", pos)
+    _check_ends(2 * (a + b), 6)
     return make_degree(
         [(-1, 0)] * b + [(1, 0)] * b + [(0, -1)] * a + [(0, 1)] * a
     )
@@ -147,6 +162,7 @@ def _parse_vector_list(s: str) -> Degree:
         mult = int(exponent[1:] or 0) if exponent else 1
         if mult < 1:
             raise ParseError("exponent must be a positive integer", mo.start(3))
+        _check_ends(len(vecs) + mult, pos)
         vecs += [(int(x), int(y))] * mult
         pos = mo.end()
         if pos < len(s) and s[pos] != ",":

@@ -457,45 +457,63 @@ def test_suffix_memo_guard_changes_no_value(monkeypatch):
         assert list(cache.items()) == list(exact[name].items()), name
 
 
-def test_suffix_memo_guard_bounds_states_and_summands(monkeypatch):
-    # the guard counts suffix states and block summands; sub-degree values
-    # have their own dict that no clear touches, so a guarded run solves the
-    # same chords and writes the same cache as an unguarded one
+def test_suffix_memo_guard_bounds_passers(monkeypatch):
+    # the memo holds one record of sigma passers per (vm, pool), and the
+    # guard counts the passers, checked as a record is stored; sub-degree
+    # values have their own dict that no clear touches, so a guarded run
+    # solves the same chords and writes the same cache as an unguarded one
     d = parse_degree("P2:6")
     unguarded = chord_recursion.SUFFIX_MEMO_GUARD
     real = chord_recursion._chord_sum
 
     def watched_run(guard):
-        calls, sizes, shapes = [], {"memo": [], "values": []}, Counter()
+        calls, stores, clears, triggers, keys = [], [], [], [], set()
+        sizes = []
 
-        class Watched(dict):
-            def __init__(self, name):
-                self.name = name
+        class Watched(chord_recursion._Records):
+            __slots__ = ()
 
+            def __setitem__(self, key, record):
+                dict.__setitem__(self, key, record)
+                keys.add(key)
+                assert self.passers == sum(map(len, self.values()))
+                stores.append(self.passers)
+                if len(clears) > len(triggers):
+                    triggers.append(len(record))  # the record that cleared
+
+            def clear(self):
+                clears.append(self.passers)
+                dict.clear(self)
+
+        class Values(dict):
             def __setitem__(self, key, value):
                 dict.__setitem__(self, key, value)
-                sizes[self.name].append(len(self))
-                if self.name == "memo":
-                    shapes[len(key)] += 1
+                sizes.append(len(self))
 
         def spy(vectors, v1, vm, cache, memo, values, bits):
             calls.append(vectors)
-            if type(memo) is dict:  # the fresh dicts of a top-level solve
-                memo, values = Watched("memo"), Watched("values")
+            if type(values) is dict:  # the fresh dicts of a top-level solve
+                memo, values = Watched(), Values()
             return real(vectors, v1, vm, cache, memo, values, bits)
 
         monkeypatch.setattr(chord_recursion, "_chord_sum", spy)
         monkeypatch.setattr(chord_recursion, "SUFFIX_MEMO_GUARD", guard)
         cache = {}
         refined_invariant(d, cache=cache)
-        return cache, calls, sizes, shapes
+        return cache, calls, stores, list(zip(clears, triggers)), keys, sizes
 
-    guarded, guarded_calls, sizes, shapes = watched_run(40)
-    assert max(sizes["memo"]) == 40  # reached, never exceeded
-    assert sizes["memo"].count(1) > 1  # cleared
-    assert set(shapes) == {3, 4}  # block summands and suffix states only
-    assert sizes["values"] == sorted(sizes["values"])  # never cleared
-    exact, exact_calls, _, _ = watched_run(unguarded)
+    guard = 200  # above P2:6's largest record, 106 passers
+    guarded, guarded_calls, stores, clears, keys, sizes = watched_run(guard)
+    for vm, pool in keys:  # (vm, pool) records only
+        assert len(vm) == 2 and all(type(c) is int for c in vm)
+        assert all(len(v) == 2 and c > 0 for v, c in pool)
+    assert max(stores) <= guard  # never exceeded
+    assert len(clears) > 1  # cleared
+    # only for a record that would take the count past the guard
+    assert all(held + size > guard for held, size in clears)
+    assert sizes == sorted(sizes)  # values never cleared
+    exact, exact_calls, _, exact_clears, _, _ = watched_run(unguarded)
+    assert exact_clears == []
     assert guarded_calls == exact_calls
     assert list(guarded.items()) == list(exact.items())
 

@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -20,6 +21,7 @@ from refined_chord.cli import (
     CACHE_ENV,
     CacheFormatError,
     CacheVersionError,
+    PARSE_END_GUARD,
     ParseError,
     load_cache,
     main,
@@ -84,6 +86,68 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as err:
         parse_degree("P1xP1:12,0")
     assert err.value.pos == 9
+
+
+@pytest.mark.parametrize(
+    "spec,message,pos",
+    [
+        # the macro fields take the vector grammar's integers, -?\d+, only
+        ("P2:1_0", "expected an integer degree, got '1_0'", 3),
+        ("P2: 3", "expected an integer degree, got ' 3'", 3),
+        ("P2:+3", "expected an integer degree, got '+3'", 3),
+        ("P2:3:1_0", "expected an integer partition part, got '1_0'", 5),
+        ("P2:3:2, 1", "expected an integer partition part, got ' 1'", 7),
+        ("P2:3:+2,1", "expected an integer partition part, got '+2'", 5),
+        ("P1xP1:1_0,2", "expected an integer count, got '1_0'", 6),
+        ("P1xP1: 2,3", "expected an integer count, got ' 2'", 6),
+        ("P1xP1:2,+3", "expected an integer count, got '+3'", 8),
+        ("P1xP1:12,0", "P1xP1 counts must be positive, got 12,0", 9),
+        ("P1xP1:-1,2", "P1xP1 counts must be positive, got -1,2", 6),
+    ],
+)
+def test_macro_field_grammar(spec, message, pos):
+    with pytest.raises(ParseError) as err:
+        parse_degree(spec)
+    assert (str(err.value), err.value.pos) == (f"{message} (at position {pos})", pos)
+
+
+@pytest.mark.parametrize(
+    "spec,pos",
+    [
+        ("(1,0)^1000000,(-1000000,0)", 0),
+        ("(1,0)^5000,(-1,0)^5000,(0,1),(0,-1)", 23),
+        ("P2:10000000", 3),
+        ("P2:3334", 3),
+        ("P2:10000000:10000000", 3),
+        ("P1xP1:10000000,1", 6),
+        ("P1xP1:2500,2501", 6),
+    ],
+)
+def test_end_bound_refuses_before_building(spec, pos):
+    # counted from exponents and macro sizes, before a list is expanded
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            parse_degree(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (str(err.value), err.value.pos) == (
+        f"more than {PARSE_END_GUARD} ends (at position {pos})",
+        pos,
+    )
+    assert peak < 200_000
+
+
+def test_end_bound_admits_its_own_size():
+    assert parse_degree("(1,0)^5000,(-1,0)^5000").m == PARSE_END_GUARD
+    assert parse_degree("P1xP1:2500,2500").m == PARSE_END_GUARD
+    assert parse_degree("P2:3333").m == 9999
+
+
+def test_compute_refuses_too_many_ends(capsys):
+    assert main(["compute", "P2:10000000"]) == 2
+    assert f"more than {PARSE_END_GUARD} ends" in capsys.readouterr().err
 
 
 _EXPONENT_ERROR = "exponent must be a positive integer"
