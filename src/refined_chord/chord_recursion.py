@@ -56,10 +56,10 @@ from .refined_poly import (
 _ONE = RefinedPolynomial.one()
 
 # sigma passers held in the (vm, pool) records of one top-level memo, each
-# with at most one summand: P2:10 peaks at 105,248 (44 MB peak), P2:11 at
-# 179,119 (64 MB) and P2:12 at 276,990 (103 MB), so no triangle degree up to
-# 12 reaches the guard; P2:13 clears it once and P2:14 10 times. Chosen by
-# bytes: at 500,000 cold P2:14 took 191 MB, at this guard 154 MB. Clearing
+# with at most one summand: P2:10 peaks at 96,222 (38 MB peak), P2:11 at
+# 166,046 (56 MB) and P2:12 at 263,754 (83 MB), so no triangle degree up to
+# 12 reaches the guard; P2:13 clears it once and P2:14 6 times. Chosen by
+# bytes: at 500,000 cold P2:14 took 160 MB, at this guard 136 MB. Clearing
 # costs time, not values. Sub-degree values are kept apart, never cleared.
 SUFFIX_MEMO_GUARD = 400_000
 
@@ -243,18 +243,22 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
     a sum a shift-add. ``e1 < 2**bits`` at every state total proves
     that no slot carried, in it or in the summands it adds up; otherwise
     :class:`_SlotOverflow` makes :func:`refined_invariant` retry with the
-    slots twice as wide. A summand whose ``e1`` is 0 (some sub-degree
-    invariants vanish) is skipped, since its ``hi`` means nothing and would
-    shift the sum; a block whose own sub-degree invariant vanishes is
-    skipped before its tails are summed.
+    slots twice as wide. A summand or tail whose ``e1`` is 0 (some
+    sub-degree invariants vanish) is skipped, since its ``hi`` means nothing
+    and would shift the sum.
 
-    A closed block's value is looked up in ``values`` under its sorted
-    vectors, then under its :func:`_class_form`, then in ``cache`` under the
-    form's string, the class's canonical key: N(A * D) = N(D) for A in
-    GL2(Z), so any image's value serves. Only when all miss is the block
-    solved, in its own coordinates, and ``cache`` written once per class.
-    ``values``, created with ``memo`` and never cleared, keeps the packed
-    value under both tuples; ``cache`` keeps only unpacked polynomials.
+    A block's summand is a product over each run length ``r``: the vertex
+    weight, the closed block's own invariant, and ``fam`` times the tail
+    that follows the run. The tails are summed first, so a closed block is
+    looked up, or solved, only when some tail survives; only a closed block
+    already known to vanish is recognized before them. The lookup is in
+    ``values`` under its sorted vectors, then under its :func:`_class_form`,
+    then in ``cache`` under the form's string, the class's canonical key:
+    N(A * D) = N(D) for A in GL2(Z), so any image's value serves. Only when
+    all miss is the block solved, in its own coordinates, and ``cache``
+    written once per class. ``values``, created with ``memo`` and never
+    cleared, keeps the packed value under both tuples; ``cache`` keeps only
+    unpacked polynomials.
 
     The weight of a run of ``r`` identical blocks, taking ``t_v`` of each
     vector ``v`` from a pool of ``c_v``, is ``fam_r = fam_(r-1) * X_r / r``
@@ -348,16 +352,38 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
         return acc, hi, e1
 
     def block_summand(vecs, counts, takes, n, ux, uy, sigma, w0, w1):
-        # every run of r >= 1 blocks taking ``takes`` from the pool, summed
+        # every run of r >= 1 blocks taking ``takes`` from the pool, summed;
+        # the tails first, so a block that no tail can follow is never solved
         block = ()
         for v, t in zip(vecs, takes):
             if t:
                 block += (v,) * t
-        fn, fh, fe = _packed_q_analog(abs(sigma), bits)
-        acc = hi = e1 = 0
         if n > 1:
             closed = tuple(sorted(block + ((ux, uy),)))
             assert len(closed) < total_len
+            packed = values.get(closed)
+            if packed is not None and not packed[2]:
+                return packed  # a known vanishing block
+        g = gcd(ux, uy) if sigma > 0 else -gcd(ux, uy)
+        su_dir = (ux // g, uy // g)  # primitive(sigma * u)
+        tails = []  # (r, fam * tail), for the tails that do not vanish
+        fam = 1
+        left = counts
+        for r in range(1, min([c // t for c, t in zip(counts, takes) if t]) + 1):
+            fam = fam * prod(map(comb, left, takes)) // r
+            left = list(map(sub, left, takes))
+            rest = tuple(compress(zip(vecs, left), left))
+            w_next = (w0 + r * ux, w1 + r * uy)
+            if rest:
+                xn, xh, xe = suffix_sum(rest, w_next, su_dir, block)
+                if xe:  # a vanishing tail's hi means nothing
+                    tails.append((r, fam * xn, xh, fam * xe))
+            else:
+                assert w_next == vm
+                tails.append((r, fam, 0, fam))
+        fn, fh, fe = _packed_q_analog(abs(sigma), bits)
+        acc = hi = e1 = 0
+        if n > 1 and tails:
             packed = values.get(closed)
             if packed is None:
                 form = _class_form(closed)
@@ -377,30 +403,9 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
             fn *= sn
             fh += sh
             fe *= se
-        # identical blocks repeat with the same sigma; take r at once
-        max_r = min([c // t for c, t in zip(counts, takes) if t]) if fe else 0
-        g = gcd(ux, uy) if sigma > 0 else -gcd(ux, uy)
-        su_dir = (ux // g, uy // g)  # primitive(sigma * u)
-        tn, th, te = fn, fh, fe
-        fam = 1
-        left = counts
-        for r in range(1, max_r + 1):
-            if r > 1:
-                tn *= fn
-                th += fh
-                te *= fe
-            fam = fam * prod(map(comb, left, takes)) // r
-            left = list(map(sub, left, takes))
-            rest = tuple(compress(zip(vecs, left), left))
-            w_next = (w0 + r * ux, w1 + r * uy)
-            if rest:
-                xn, xh, xe = suffix_sum(rest, w_next, su_dir, block)
-                if not xe:
-                    continue  # a vanishing summand's hi means nothing
-                sn, sh, se = fam * tn * xn, th + xh, fam * te * xe
-            else:
-                assert w_next == vm
-                sn, sh, se = fam * tn, th, fam * te
+        # identical blocks repeat with the same sigma: r blocks weigh f ** r
+        for r, xn, xh, xe in tails if fe else ():
+            sn, sh, se = fn**r * xn, fh * r + xh, fe**r * xe
             if not e1:
                 acc, hi, e1 = sn, sh, se
                 continue

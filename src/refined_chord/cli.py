@@ -9,9 +9,11 @@ Degree grammar accepted by every command:
 * ``P1xP1:a,b`` for the rectangle degree with b horizontal and a vertical
   pairs of opposite ends.
 
-Every integer, macro fields included, is an optional minus sign and
-decimal digits, and a spec of more than ``PARSE_END_GUARD`` ends is refused
-before its vectors are built.
+Every integer, macro fields included, is an optional minus sign and at
+most ``PARSE_DIGIT_GUARD`` (4,300) decimal digits: Python's default limit
+for ``int`` of a string, so a longer field is refused at its own position
+rather than by ``int`` with a hint about interpreter settings. A spec of
+more than ``PARSE_END_GUARD`` ends is refused before its vectors are built.
 
 Exit codes: 0 success, 1 cross-check mismatch (``verify``), 2 parse or
 validation errors, guard violations and a cache path that cannot be read
@@ -50,6 +52,8 @@ TABLE_DEGREE_GUARD = 8
 # ends a degree spec may describe, checked before any vector list is built;
 # far above what compute can finish (P2:14 has 42)
 PARSE_END_GUARD = 10_000
+# decimal digits an integer field may have: Python's default int() limit
+PARSE_DIGIT_GUARD = 4_300
 
 
 class ParseError(ValueError):
@@ -86,7 +90,7 @@ def parse_vector(text: str) -> Vec:
     mo = _VEC.fullmatch(s)
     if not mo:
         raise ParseError(f"expected a vector '(x,y)', got {text!r}")
-    return (int(mo.group(1)), int(mo.group(2)))
+    return (_to_int(mo.group(1), mo.start(1)), _to_int(mo.group(2), mo.start(2)))
 
 
 def parse_degree(spec: str) -> Degree:
@@ -102,10 +106,18 @@ def parse_degree(spec: str) -> Degree:
     return _parse_vector_list(s)
 
 
+def _to_int(digits: str, pos: int) -> int:
+    """``int`` of a matched integer field starting at ``pos``, refused above
+    ``PARSE_DIGIT_GUARD`` digits before ``int`` sees it."""
+    if len(digits) - digits.startswith("-") > PARSE_DIGIT_GUARD:
+        raise ParseError(f"more than {PARSE_DIGIT_GUARD} digits", pos)
+    return int(digits)
+
+
 def _parse_int(text: str, what: str, pos: int) -> int:
     if not _INT.fullmatch(text):
         raise ParseError(f"expected an integer {what}, got {text!r}", pos)
-    return int(text)
+    return _to_int(text, pos)
 
 
 def _check_ends(ends: int, pos: int) -> None:
@@ -159,11 +171,11 @@ def _parse_vector_list(s: str) -> Degree:
         if not mo:
             raise ParseError("expected a vector '(x,y)'", pos)
         x, y, exponent = mo.groups()
-        mult = int(exponent[1:] or 0) if exponent else 1
+        mult = _to_int(exponent[1:] or "0", mo.start(3)) if exponent else 1
         if mult < 1:
             raise ParseError("exponent must be a positive integer", mo.start(3))
         _check_ends(len(vecs) + mult, pos)
-        vecs += [(int(x), int(y))] * mult
+        vecs += [(_to_int(x, mo.start(1)), _to_int(y, mo.start(2)))] * mult
         pos = mo.end()
         if pos < len(s) and s[pos] != ",":
             raise ParseError("expected ',' between vectors", pos)

@@ -3,7 +3,7 @@
     python tests/slow_codegree_laws.py          # d = 9..12
     python tests/slow_codegree_laws.py 6 7 8    # any degrees from 3 on
 
-Too slow for the test suite (about 9 s for d = 9..12 together), so the
+Too slow for the test suite (about 7 s for d = 9..12 together), so the
 file name keeps it out of pytest's collection; ``test_codegree_laws.py``
 runs :func:`main` on small degrees so the script cannot rot. The check,
 every k < 2d-4 and a break at k = 2d-4, and the one cache the degrees

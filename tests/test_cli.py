@@ -21,11 +21,13 @@ from refined_chord.cli import (
     CACHE_ENV,
     CacheFormatError,
     CacheVersionError,
+    PARSE_DIGIT_GUARD,
     PARSE_END_GUARD,
     ParseError,
     load_cache,
     main,
     parse_degree,
+    parse_vector,
     render_partition,
     save_cache,
 )
@@ -148,6 +150,45 @@ def test_end_bound_admits_its_own_size():
 def test_compute_refuses_too_many_ends(capsys):
     assert main(["compute", "P2:10000000"]) == 2
     assert f"more than {PARSE_END_GUARD} ends" in capsys.readouterr().err
+
+
+_LONG = "1" * (PARSE_DIGIT_GUARD + 1)
+
+
+@pytest.mark.parametrize(
+    "spec,pos",
+    [
+        ("P2:" + _LONG, 3),
+        ("P2:3:" + _LONG, 5),
+        ("P1xP1:2," + _LONG, 8),
+        ("P1xP1:" + _LONG + ",2", 6),
+        (f"({_LONG},0),(-1,0)", 1),
+        (f"(1, -{_LONG}),(-1,0)", 4),
+        (f"(1,0)^{_LONG},(-1,0)", 5),
+    ],
+    ids=["degree", "part", "count-b", "count-a", "x", "y", "exponent"],
+)
+def test_digit_bound_refuses_long_fields(spec, pos):
+    # refused before int(), whose own limit would raise a plain ValueError
+    with pytest.raises(ParseError) as err:
+        parse_degree(spec)
+    assert (str(err.value), err.value.pos) == (
+        f"more than {PARSE_DIGIT_GUARD} digits (at position {pos})",
+        pos,
+    )
+
+
+def test_digit_bound_admits_its_own_size(capsys):
+    big = "1" + "0" * (PARSE_DIGIT_GUARD - 1)
+    assert parse_degree(f"({big},1),(-{big},-1)").vectors[1] == (int(big), 1)
+    assert parse_degree(f"(1,0)^0{'0' * (PARSE_DIGIT_GUARD - 2)}1,(-1,0)").m == 2
+    assert parse_vector(f"(-{big},0)") == (-int(big), 0)
+    with pytest.raises(ParseError, match=f"more than {PARSE_DIGIT_GUARD} digits"):
+        parse_vector(f"(0,{big}0)")
+    assert main(["compute", "P2:" + _LONG]) == 2
+    assert f"more than {PARSE_DIGIT_GUARD} digits (at position 3)" in (
+        capsys.readouterr().err
+    )
 
 
 _EXPONENT_ERROR = "exponent must be a positive integer"
