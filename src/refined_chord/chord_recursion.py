@@ -56,11 +56,12 @@ from .refined_poly import (
 _ONE = RefinedPolynomial.one()
 
 # sigma passers held in the (vm, pool) records of one top-level memo, each
-# with at most one summand: P2:10 peaks at 96,222 (38 MB peak), P2:11 at
-# 166,046 (56 MB) and P2:12 at 263,754 (83 MB), so no triangle degree up to
-# 12 reaches the guard; P2:13 clears it once and P2:14 6 times. Chosen by
-# bytes: at 500,000 cold P2:14 took 160 MB, at this guard 136 MB. Clearing
-# costs time, not values. Sub-degree values are kept apart, never cleared.
+# with at most one filled slot of terms: P2:10 peaks at 96,222 (38 MB peak),
+# P2:11 at 166,046 (55 MB) and P2:12 at 263,754 (83 MB), so no triangle
+# degree up to 12 reaches the guard; P2:13 clears it once and P2:14 6 times.
+# Chosen by bytes: at 500,000 cold P2:14 took 160 MB, at this guard 136 MB.
+# Clearing costs time, not values. Sub-degree values are kept apart, never
+# cleared.
 SUFFIX_MEMO_GUARD = 400_000
 
 
@@ -94,12 +95,15 @@ def _sub_multisets(pool):
     ``pool`` is a sorted tuple of ``(vector, count)`` pairs; each choice
     yields ``(block, rest, u)`` where ``block`` is sorted and ``u`` is the
     balancing slope ``-sum(block)``. The engine never calls it: it streams
-    its own candidates, so the benchmark tracer's ``suffix_states`` and
-    ``candidates``, counted by wrapping this generator by name, read 0.
-    Deleting it would turn both into ``null``, which fails
+    its own candidates. ``tests/decomposition_reference.py`` streams through
+    it, and the benchmark tracer wraps it by name for ``suffix_states`` and
+    ``candidates``, which therefore read 0; deleting it would turn both into
+    ``null``, which fails
     ``tests/test_perfbench_quick.py::test_workload_result_line_is_well_formed``.
-    The engine does not stream through it because that measured slower:
-    chord-cold ``wall_s`` went from 0.170 to 0.190 s.
+    The engine's records do not stream through it because that measured
+    slower: a generator in the same odometer order took chord-cold
+    ``wall_s`` from about 0.0775 to 0.084 s, slower in 6 of 6 alternating
+    pairs.
     """
     vecs = [v for v, _ in pool]
     counts = [c for _, c in pool]
@@ -135,7 +139,7 @@ def _default_ends(
     records are shared per ``vm`` across the sub-degrees of one call (see
     :func:`_chord_sum`), so a sub-degree that reuses the ``vm`` of the chord
     that spawned it (``parent_vm``; None at the top level) can find its
-    pools already streamed and their summands already summed. Preferring
+    pools already streamed and their terms already filled. Preferring
     ``omega(v1, vm) <= 0`` is empirical: it took fewer candidate blocks on
     the benchmark degrees.
     """
@@ -213,12 +217,12 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
     of the remaining pool, and so are both sigma rules; the last two parts
     only decide which blocks a state admits. So the first visit of a pool
     streams its candidates once and keeps those passing the sigma rules,
-    the pool's passers, in one record, each with a slot for its summand over
-    every run length ``r``. Every state of the pool, that visit included,
+    the pool's passers, in one record, each with a slot for its terms, one
+    per run length ``r``. Every state of the pool, that visit included,
     loops over the record, applies the cross and tie rules and adds up the
-    summands of the passers it admits; the first state that admits a passer
+    terms of the passers it admits; the first state that admits a passer
     fills its slot through ``block_summand``. A state's own sum is not
-    stored.
+    stored, and this loop is the recursion's only packed sum.
 
     A record never depends on ``v1``: the degree sums to zero, so
     ``w = vm + sum(remaining pool)``. One ``memo`` therefore serves every
@@ -229,7 +233,7 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
     :func:`refined_invariant` creates the memo afresh at each slot width and
     drops it when the call returns; it is never stored in ``cache`` (which
     callers persist). It counts the passers its records hold, each with at
-    most one summand, and is cleared before a record is stored whenever
+    most one filled slot, and is cleared before a record is stored whenever
     that record would take the count past ``SUFFIX_MEMO_GUARD``, which
     costs time but changes no value. ``suffix_sum`` and ``block_summand``
     refer to each other through their closure cells, a reference cycle
@@ -241,23 +245,26 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
     the highest half-exponent and the exact value at q = 1 (see
     :mod:`refined_chord.refined_poly`): a product is one bigint multiply and
     a sum a shift-add. ``e1 < 2**bits`` at every state total proves
-    that no slot carried, in it or in the summands it adds up; otherwise
+    that no slot carried, in it or in the terms it adds up; otherwise
     :class:`_SlotOverflow` makes :func:`refined_invariant` retry with the
-    slots twice as wide. A summand or tail whose ``e1`` is 0 (some
-    sub-degree invariants vanish) is skipped, since its ``hi`` means nothing
-    and would shift the sum.
+    slots twice as wide. A value whose ``e1`` is 0 (some sub-degree
+    invariants vanish) has a ``hi`` that means nothing and would shift the
+    sum, so no term is made from a vanishing tail or closed block: every
+    stored term has ``e1 > 0``.
 
-    A block's summand is a product over each run length ``r``: the vertex
-    weight, the closed block's own invariant, and ``fam`` times the tail
-    that follows the run. The tails are summed first, so a closed block is
-    looked up, or solved, only when some tail survives; only a closed block
-    already known to vanish is recognized before them. The lookup is in
-    ``values`` under its sorted vectors, then under its :func:`_class_form`,
-    then in ``cache`` under the form's string, the class's canonical key:
-    N(A * D) = N(D) for A in GL2(Z), so any image's value serves. Only when
-    all miss is the block solved, in its own coordinates, and ``cache``
-    written once per class. ``values``, created with ``memo`` and never
-    cleared, keeps the packed value under both tuples; ``cache`` keeps only
+    A block's term for run length ``r`` is a product: the vertex weight,
+    the closed block's own invariant, and ``fam`` times the tail that
+    follows the run. A block that vanishes, or that no tail can follow,
+    stores ``()``. The tails are summed first, so a closed block is solved
+    only when some tail survives. It is looked up once before them, in
+    ``values`` under its sorted vectors, where a block already known to
+    vanish returns at once; on a miss, and only when some tail survives,
+    ``cache`` is asked under its :func:`_class_form`'s string, the class's
+    canonical key: N(A * D) = N(D) for A in GL2(Z), so any image's value
+    serves, a class solved earlier in the call included. Only when both
+    miss is the block solved, in its own coordinates, and ``cache`` written
+    once per class. ``values``, created with ``memo`` and never cleared,
+    keeps the packed value under the sorted tuple; ``cache`` keeps only
     unpacked polynomials.
 
     The weight of a run of ``r`` identical blocks, taking ``t_v`` of each
@@ -274,7 +281,7 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
     ``block <= prev_key``. The tie rule is ``<=`` where the decomposition
     stream of ``tests/decomposition_reference.py`` uses ``<``, because the
     ``r`` loop already takes a run of identical blocks together, so letting
-    an equal block follow would count that run a second time. A filled summand
+    an equal block follow would count that run a second time. A filled slot
     needs no block tuple.
     """
     pool_items = tuple(sorted(_remove_ends(vectors, v1, vm).items()))
@@ -318,7 +325,7 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
             memo[vm, pool_items] = record
         acc = hi = e1 = 0
         for cand in record:
-            ux, uy, sigma, n, takes, summand = cand
+            ux, uy, sigma, n, takes, terms = cand
             if prev_su_dir is not None:
                 cross = prev_su_dir[0] * uy - prev_su_dir[1] * ux
                 if cross * sigma < 0:
@@ -330,30 +337,29 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
                             block += (v,) * t
                     if block <= prev_key:
                         continue
-            if summand is None:
-                summand = cand[5] = block_summand(
+            if terms is None:
+                terms = cand[5] = block_summand(
                     vecs, counts, takes, n, ux, uy, sigma, w0, w1
                 )
-            sn, sh, se = summand
-            if not se:
-                continue  # a vanishing summand's hi means nothing
-            if not e1:
-                acc, hi, e1 = summand
-                continue
-            assert (hi - sh) % 2 == 0
-            if sh <= hi:  # inline: a shared refined_poly summing helper cost 16 %
-                acc += sn << (bits * ((hi - sh) >> 1))
-            else:
-                acc = (acc << (bits * ((sh - hi) >> 1))) + sn
-                hi = sh
-            e1 += se
+            for sn, sh, se in terms:
+                if not e1:
+                    acc, hi, e1 = sn, sh, se
+                    continue
+                assert (hi - sh) % 2 == 0
+                if sh <= hi:  # inline: a shared refined_poly summing helper cost 16 %
+                    acc += sn << (bits * ((hi - sh) >> 1))
+                else:
+                    acc = (acc << (bits * ((sh - hi) >> 1))) + sn
+                    hi = sh
+                e1 += se
         if e1 >> bits:
             raise _SlotOverflow
         return acc, hi, e1
 
     def block_summand(vecs, counts, takes, n, ux, uy, sigma, w0, w1):
-        # every run of r >= 1 blocks taking ``takes`` from the pool, summed;
-        # the tails first, so a block that no tail can follow is never solved
+        # one term per run of r >= 1 blocks taking ``takes`` from the pool
+        # whose tail survives; the tails first, so a block that no tail can
+        # follow is never solved
         block = ()
         for v, t in zip(vecs, takes):
             if t:
@@ -363,7 +369,7 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
             assert len(closed) < total_len
             packed = values.get(closed)
             if packed is not None and not packed[2]:
-                return packed  # a known vanishing block
+                return ()  # a known vanishing block
         g = gcd(ux, uy) if sigma > 0 else -gcd(ux, uy)
         su_dir = (ux // g, uy // g)  # primitive(sigma * u)
         tails = []  # (r, fam * tail), for the tails that do not vanish
@@ -381,42 +387,28 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
             else:
                 assert w_next == vm
                 tails.append((r, fam, 0, fam))
+        if not tails:
+            return ()
         fn, fh, fe = _packed_q_analog(abs(sigma), bits)
-        acc = hi = e1 = 0
-        if n > 1 and tails:
-            packed = values.get(closed)
+        if n > 1:
             if packed is None:
-                form = _class_form(closed)
-                packed = values.get(form)
-                if packed is None:
-                    class_key = vectors_key(form)
-                    hit = cache.get(class_key)
-                    if hit is None:
-                        ends = _default_ends(closed, parent_vm=vm)
-                        packed = _chord_sum(closed, *ends, cache, memo, values, bits)
-                        cache[class_key] = _unpack(packed, bits)
-                    else:
-                        packed = _pack(class_key, hit, bits)
-                    values[form] = packed
+                class_key = vectors_key(_class_form(closed))
+                hit = cache.get(class_key)
+                if hit is None:
+                    ends = _default_ends(closed, parent_vm=vm)
+                    packed = _chord_sum(closed, *ends, cache, memo, values, bits)
+                    cache[class_key] = _unpack(packed, bits)
+                else:
+                    packed = _pack(class_key, hit, bits)
                 values[closed] = packed
             sn, sh, se = packed
+            if not se:
+                return ()
             fn *= sn
             fh += sh
             fe *= se
         # identical blocks repeat with the same sigma: r blocks weigh f ** r
-        for r, xn, xh, xe in tails if fe else ():
-            sn, sh, se = fn**r * xn, fh * r + xh, fe**r * xe
-            if not e1:
-                acc, hi, e1 = sn, sh, se
-                continue
-            assert (hi - sh) % 2 == 0
-            if sh <= hi:  # inline: a shared refined_poly summing helper cost 16 %
-                acc += sn << (bits * ((hi - sh) >> 1))
-            else:
-                acc = (acc << (bits * ((sh - hi) >> 1))) + sn
-                hi = sh
-            e1 += se
-        return acc, hi, e1
+        return [(fn**r * xn, fh * r + xh, fe**r * xe) for r, xn, xh, xe in tails]
 
     try:
         return suffix_sum(pool_items, (-v1[0], -v1[1]), None, None)

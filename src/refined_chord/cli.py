@@ -213,7 +213,8 @@ def load_cache(path: str) -> Dict[str, RefinedPolynomial]:
             f"cannot be read (want {CACHE_VERSION}); the file only holds "
             "values that compute rebuilds, so it can be deleted"
         )
-    if version != CACHE_VERSION:
+    # 3.0 and 3e0 equal 3 in Python, but only a JSON integer is this format
+    if type(version) is not int or version != CACHE_VERSION:
         raise CacheVersionError(
             f"{path}: cache version {version!r} unsupported (want {CACHE_VERSION})"
         )

@@ -234,25 +234,15 @@ def _power_text(half_exp: int):
     return f"q^({half_exp}/2)"
 
 
-_Q_ANALOG_CACHE: Dict[int, RefinedPolynomial] = {}
-
-
 def q_analog(a: int) -> RefinedPolynomial:
     """The quantum integer ``[a]_q = (q^(a/2) - q^(-a/2)) / (q^(1/2) - q^(-1/2))``.
 
     For positive ``a`` this is the a-term sum ``q^((a-1)/2) + ... + q^(-(a-1)/2)``;
     ``[0]_q`` is zero and ``[-a]_q = -[a]_q``, matching the defining quotient.
     """
-    poly = _Q_ANALOG_CACHE.get(a)
-    if poly is None:
-        if a == 0:
-            poly = RefinedPolynomial.zero()
-        elif a > 0:
-            poly = RefinedPolynomial({k: 1 for k in range(a - 1, -a, -2)})
-        else:
-            poly = -q_analog(-a)
-        _Q_ANALOG_CACHE[a] = poly
-    return poly
+    if a < 0:
+        return -q_analog(-a)
+    return RefinedPolynomial({k: 1 for k in range(a - 1, -a, -2)})
 
 
 # -- packed values (Kronecker substitution) -------------------------------

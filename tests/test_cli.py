@@ -630,6 +630,22 @@ def test_cache_version_rejected(tmp_path):
         load_cache(str(path))
 
 
+@pytest.mark.parametrize("version", ["3.0", "3e0"])
+def test_cache_float_version_is_refused(tmp_path, capsys, version):
+    # a JSON float equals 3 in Python, but the version, like every hi and
+    # coefficient, must be a JSON integer; the file is left as it was
+    path = tmp_path / "memo.jsonl"
+    text = GOLDEN_CACHE.replace('{"version": 3}', '{"version": %s}' % version)
+    path.write_text(text)
+    with pytest.raises(CacheVersionError, match="unsupported"):
+        load_cache(str(path))
+    assert main(["compute", "P2:2", "--cache-path", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: cache version ")
+    assert path.read_text() == text
+
+
 def test_cache_version_1_is_refused_as_deletable(tmp_path, capsys):
     # no version-1 reader: the file is a memo, so the message says to delete it
     path = tmp_path / "memo.jsonl"
