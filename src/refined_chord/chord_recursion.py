@@ -36,7 +36,7 @@ and in every sub-degree; the test suite checks this rather than assuming it.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress, product
+from itertools import compress
 from math import comb, gcd, prod
 from operator import sub
 from typing import Dict, Optional, Tuple
@@ -55,7 +55,7 @@ from .refined_poly import (
 
 _ONE = RefinedPolynomial.one()
 
-# sigma passers held in the (vm, pool) records of one top-level memo, each
+# sigma passers held in the (w, pool) records of one top-level memo, each
 # with at most one filled slot of terms: P2:10 peaks at 96,222 (38 MB peak),
 # P2:11 at 166,046 (55 MB) and P2:12 at 263,754 (83 MB), so no triangle
 # degree up to 12 reaches the guard; P2:13 clears it once and P2:14 6 times.
@@ -63,16 +63,6 @@ _ONE = RefinedPolynomial.one()
 # Clearing costs time, not values. Sub-degree values are kept apart, never
 # cleared.
 SUFFIX_MEMO_GUARD = 400_000
-
-
-class _Records(dict):
-    """The memo of :func:`_chord_sum`: each ``(vm, pool)``'s sigma passers,
-    with ``passers`` counting those held in all records."""
-
-    __slots__ = ("passers",)
-
-    def __init__(self):
-        self.passers = 0
 
 
 class VectorNotInDegree(ValueError):
@@ -89,38 +79,44 @@ def _remove_ends(vectors: Tuple[Vec, ...], *ends: Vec) -> Counter:
     return +pool
 
 
-def _sub_multisets(pool):
-    """All nonempty sub-multisets of ``pool`` with their complement and slope.
+def _sub_multisets(key):
+    """The sigma passers of the record key ``(w, pool)``, in odometer order.
 
-    ``pool`` is a sorted tuple of ``(vector, count)`` pairs; each choice
-    yields ``(block, rest, u)`` where ``block`` is sorted and ``u`` is the
-    balancing slope ``-sum(block)``. The engine never calls it: it streams
-    its own candidates. ``tests/decomposition_reference.py`` streams through
-    it, and the benchmark tracer wraps it by name for ``suffix_states`` and
-    ``candidates``, which therefore read 0; deleting it would turn both into
-    ``null``, which fails
-    ``tests/test_perfbench_quick.py::test_workload_result_line_is_well_formed``.
-    The engine's records do not stream through it because that measured
-    slower: a generator in the same odometer order took chord-cold
-    ``wall_s`` from about 0.0775 to 0.084 s, slower in 6 of 6 alternating
-    pairs.
+    ``pool`` is a sorted tuple of ``(vector, count)`` pairs and ``w`` the
+    chord slope before the next block. Each nonempty choice of per-vector
+    take counts is a candidate block of ``n`` ends and slope
+    ``u = -sum(block)``; one with ``sigma = omega(w, u) != 0``, and ``n == 1``
+    if ``sigma > 0``, is yielded as ``[ux, uy, sigma, n, takes, None]``, the
+    last item the slot for its terms. This is the engine's one enumerator,
+    and the benchmark tracer wraps it by name: its calls are the records
+    streamed (``suffix_states``), its items the passers (``candidates``).
     """
-    vecs = [v for v, _ in pool]
-    counts = [c for _, c in pool]
-    for takes in product(*(range(c + 1) for c in counts)):
-        if not any(takes):
-            continue
-        block = []
-        ux = uy = 0
-        for v, t in zip(vecs, takes):
-            if t:
-                block.extend((v,) * t)
-                ux -= v[0] * t
-                uy -= v[1] * t
-        rest = tuple(
-            (v, c - t) for v, c, t in zip(vecs, counts, takes) if c - t > 0
-        )
-        yield tuple(block), rest, (ux, uy)
+    (w0, w1), pool = key
+    vecs, counts = zip(*pool)
+    k = len(counts)
+    takes = [0] * k
+    n = ux = uy = 0
+    while True:
+        # next take vector, odometer order; n and u follow incrementally
+        i = 0
+        while i < k:
+            if takes[i] < counts[i]:
+                takes[i] += 1
+                n += 1
+                ux -= vecs[i][0]
+                uy -= vecs[i][1]
+                break
+            t = takes[i]
+            takes[i] = 0
+            n -= t
+            ux += t * vecs[i][0]
+            uy += t * vecs[i][1]
+            i += 1
+        else:
+            return
+        sigma = w0 * uy - w1 * ux  # omega(w, u)
+        if sigma and (sigma < 0 or n == 1):
+            yield [ux, uy, sigma, n, tuple(takes), None]
 
 
 def _default_ends(
@@ -136,10 +132,11 @@ def _default_ends(
     A given ``v1`` or ``vm`` is kept and only the other end is chosen.
     Correctness never depends on the choice, only the work does. Fewer
     distinct vectors is a coarse proxy for fewer decompositions. Pool
-    records are shared per ``vm`` across the sub-degrees of one call (see
-    :func:`_chord_sum`), so a sub-degree that reuses the ``vm`` of the chord
-    that spawned it (``parent_vm``; None at the top level) can find its
-    pools already streamed and their terms already filled. Preferring
+    records are keyed by ``(w, pool)`` across the sub-degrees of one call
+    (see :func:`_chord_sum`), and ``w = vm + sum(pool)``, so they are
+    shared per ``vm``: a sub-degree that reuses the ``vm`` of the chord that
+    spawned it (``parent_vm``; None at the top level) can find its pools
+    already streamed and their terms already filled. Preferring
     ``omega(v1, vm) <= 0`` is empirical: it took fewer candidate blocks on
     the benchmark degrees.
     """
@@ -198,7 +195,7 @@ def refined_invariant(
     if v1 is None or vm is None:
         v1, vm = _default_ends(d.vectors, v1, vm)
     value = _widening(
-        lambda bits: _chord_sum(d.vectors, v1, vm, cache, _Records(), {}, bits)
+        lambda bits: _chord_sum(d.vectors, v1, vm, cache, {}, {}, bits)
     )
     if key is not None:
         cache[key] = value
@@ -212,34 +209,31 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
     since advancing ``w`` by ``u`` leaves ``omega(w, u)`` unchanged), with
     the exact count of unordered labeled families as integer weight. The
     choice of the next group only interacts with the past through its
-    state: the remaining pool, the direction of the previous ``sigma*u``
-    and the previous block key. The chord slope ``w`` is itself a function
-    of the remaining pool, and so are both sigma rules; the last two parts
-    only decide which blocks a state admits. So the first visit of a pool
-    streams its candidates once and keeps those passing the sigma rules,
-    the pool's passers, in one record, each with a slot for its terms, one
-    per run length ``r``. Every state of the pool, that visit included,
-    loops over the record, applies the cross and tie rules and adds up the
-    terms of the passers it admits; the first state that admits a passer
-    fills its slot through ``block_summand``. A state's own sum is not
-    stored, and this loop is the recursion's only packed sum.
+    state: the remaining pool, the chord slope ``w``, the direction of the
+    previous ``sigma*u`` and the previous block key. Both sigma rules
+    depend only on ``(w, pool)``, so the first visit of a ``(w, pool)``
+    keeps the candidates that :func:`_sub_multisets` streams, the pool's
+    sigma passers, in one record, each with a slot for its terms, one per
+    run length ``r``. Every state of the pool loops over the record,
+    applies the cross and tie rules and adds up the terms of the passers it
+    admits; the first state that admits a passer fills its slot through
+    ``block_summand``. This loop is the recursion's only packed sum.
 
-    A record never depends on ``v1``: the degree sums to zero, so
-    ``w = vm + sum(remaining pool)``. One ``memo`` therefore serves every
-    sub-degree of a top-level call, keyed by ``(vm, pool)``. Each
-    sub-degree is solved with ``parent_vm`` set to this chord's ``vm`` (see
-    :func:`_default_ends`), so where its pool allows, it ends its chord in
-    the same ``vm`` and meets records already streamed and filled.
-    :func:`refined_invariant` creates the memo afresh at each slot width and
-    drops it when the call returns; it is never stored in ``cache`` (which
-    callers persist). It counts the passers its records hold, each with at
-    most one filled slot, and is cleared before a record is stored whenever
-    that record would take the count past ``SUFFIX_MEMO_GUARD``, which
-    costs time but changes no value. ``suffix_sum`` and ``block_summand``
-    refer to each other through their closure cells, a reference cycle
-    that would keep the memo alive until the cyclic garbage collector runs;
-    deleting both names on exit breaks the cycle, so reference counting
-    frees the memo as soon as the call returns.
+    A record depends on nothing but its key, so one ``memo`` serves every
+    sub-degree of the call. The degree sums to zero, so
+    ``w = vm + sum(pool)``: records are shared by the sub-degrees whose
+    chord ends in the same ``vm``, which :func:`_default_ends` prefers.
+
+    One frame serves the call: :func:`refined_invariant` calls this once
+    per slot width with a fresh ``memo`` and ``values``, and the nested
+    ``solve`` solves every sub-degree, the top level included, with its own
+    ``vm``. The frame counts the passers its records hold, each with at
+    most one filled slot, and clears the memo before storing a record that
+    would take the count past ``SUFFIX_MEMO_GUARD``, which costs time but
+    changes no value. ``solve``, ``suffix_sum`` and ``block_summand``
+    refer to each other through their closure cells; deleting them on exit
+    breaks that cycle once, so reference counting frees the memo as soon as
+    the call returns. The memo is never stored in ``cache``.
 
     Values are packed as ``(n, hi, e1)``, one int of coefficient slots with
     the highest half-exponent and the exact value at q = 1 (see
@@ -249,23 +243,20 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
     :class:`_SlotOverflow` makes :func:`refined_invariant` retry with the
     slots twice as wide. A value whose ``e1`` is 0 (some sub-degree
     invariants vanish) has a ``hi`` that means nothing and would shift the
-    sum, so no term is made from a vanishing tail or closed block: every
-    stored term has ``e1 > 0``.
+    sum, so every stored term has ``e1 > 0``.
 
-    A block's term for run length ``r`` is a product: the vertex weight,
-    the closed block's own invariant, and ``fam`` times the tail that
-    follows the run. A block that vanishes, or that no tail can follow,
-    stores ``()``. The tails are summed first, so a closed block is solved
-    only when some tail survives. It is looked up once before them, in
-    ``values`` under its sorted vectors, where a block already known to
-    vanish returns at once; on a miss, and only when some tail survives,
-    ``cache`` is asked under its :func:`_class_form`'s string, the class's
-    canonical key: N(A * D) = N(D) for A in GL2(Z), so any image's value
-    serves, a class solved earlier in the call included. Only when both
-    miss is the block solved, in its own coordinates, and ``cache`` written
-    once per class. ``values``, created with ``memo`` and never cleared,
-    keeps the packed value under the sorted tuple; ``cache`` keeps only
-    unpacked polynomials.
+    A block's term for run length ``r`` is the vertex weight times the
+    closed block's own invariant times ``fam`` times the tail after the
+    run. A block that vanishes, or that no tail can follow, stores ``()``;
+    the tails are summed first, so a closed block is solved only when some
+    tail survives. The pool never holds the chord's two ends, so a closed
+    block has at most ``m - 1`` ends. It is looked up in ``values`` under
+    its sorted vectors, before the tails, where a block known to vanish
+    returns at once; on a miss, and only when a tail survives, ``cache`` is
+    asked under its :func:`_class_form`'s string, since N(A * D) = N(D) for
+    A in GL2(Z). Only when both miss is the block solved, in its own
+    coordinates, and ``cache`` written once per class. ``values`` is never
+    cleared and keeps packed values; ``cache`` keeps unpacked polynomials.
 
     The weight of a run of ``r`` identical blocks, taking ``t_v`` of each
     vector ``v`` from a pool of ``c_v``, is ``fam_r = fam_(r-1) * X_r / r``
@@ -273,56 +264,32 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
     division is exact because ``fam_(r-1) * X_r`` counts ordered choices of
     the ``r``-th block after an unordered ``r - 1``, which is ``r * fam_r``.
 
-    Candidate blocks are streamed as per-vector take counts with the block
-    size ``n`` and ``u`` kept as running sums. A record keeps those with
-    neither ``sigma == 0`` nor ``sigma > 0`` with ``n > 1``; a state then
-    rejects, before any block tuple is built, ``omega(prev_su_dir, u) *
-    sigma < 0``, and, for ``u`` colinear with the previous ``sigma*u``,
-    ``block <= prev_key``. The tie rule is ``<=`` where the decomposition
-    stream of ``tests/decomposition_reference.py`` uses ``<``, because the
-    ``r`` loop already takes a run of identical blocks together, so letting
-    an equal block follow would count that run a second time. A filled slot
-    needs no block tuple.
+    A state rejects a passer with ``omega(prev_su_dir, u) * sigma < 0``,
+    and, for ``u`` colinear with the previous ``sigma*u``, one with
+    ``block <= prev_key``. The tie rule is ``<=`` where
+    ``tests/decomposition_reference.py`` uses ``<``, because the ``r`` loop
+    already takes a run of identical blocks together, so letting an equal
+    block follow would count that run a second time.
     """
-    pool_items = tuple(sorted(_remove_ends(vectors, v1, vm).items()))
-    total_len = len(vectors)
+    passers = 0  # held in memo's records
 
-    def suffix_sum(pool_items, w, prev_su_dir, prev_key):
-        vecs, counts = zip(*pool_items)
-        w0, w1 = w
-        record = memo.get((vm, pool_items))
+    def solve(vectors, v1, vm):
+        pool = tuple(sorted(_remove_ends(vectors, v1, vm).items()))
+        return suffix_sum(pool, (-v1[0], -v1[1]), vm, None, None)
+
+    def suffix_sum(pool, w, vm, prev_su_dir, prev_key):
+        nonlocal passers
+        vecs, counts = zip(*pool)
+        key = (w, pool)
+        record = memo.get(key)
         if record is None:
-            record = []
-            k = len(counts)
-            takes = [0] * k
-            n = ux = uy = 0
-            while True:
-                # next take vector, odometer order; n and u follow incrementally
-                i = 0
-                while i < k:
-                    if takes[i] < counts[i]:
-                        takes[i] += 1
-                        n += 1
-                        ux -= vecs[i][0]
-                        uy -= vecs[i][1]
-                        break
-                    t = takes[i]
-                    takes[i] = 0
-                    n -= t
-                    ux += t * vecs[i][0]
-                    uy += t * vecs[i][1]
-                    i += 1
-                else:
-                    break
-                sigma = w0 * uy - w1 * ux  # omega(w, u)
-                if sigma == 0 or (sigma > 0 and n > 1):
-                    continue
-                record.append([ux, uy, sigma, n, tuple(takes), None])
-            if memo.passers + len(record) > SUFFIX_MEMO_GUARD:
+            record = [*_sub_multisets(key)]
+            if passers + len(record) > SUFFIX_MEMO_GUARD:
                 memo.clear()  # inline: a helper call cost 1.8 %
-                memo.passers = 0
-            memo.passers += len(record)
-            memo[vm, pool_items] = record
+                passers = 0
+            passers += len(record)
+            memo[key] = record
+        w0, w1 = w
         acc = hi = e1 = 0
         for cand in record:
             ux, uy, sigma, n, takes, terms = cand
@@ -339,7 +306,7 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
                         continue
             if terms is None:
                 terms = cand[5] = block_summand(
-                    vecs, counts, takes, n, ux, uy, sigma, w0, w1
+                    vecs, counts, takes, n, ux, uy, sigma, w0, w1, vm
                 )
             for sn, sh, se in terms:
                 if not e1:
@@ -356,7 +323,7 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
             raise _SlotOverflow
         return acc, hi, e1
 
-    def block_summand(vecs, counts, takes, n, ux, uy, sigma, w0, w1):
+    def block_summand(vecs, counts, takes, n, ux, uy, sigma, w0, w1, vm):
         # one term per run of r >= 1 blocks taking ``takes`` from the pool
         # whose tail survives; the tails first, so a block that no tail can
         # follow is never solved
@@ -366,7 +333,6 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
                 block += (v,) * t
         if n > 1:
             closed = tuple(sorted(block + ((ux, uy),)))
-            assert len(closed) < total_len
             packed = values.get(closed)
             if packed is not None and not packed[2]:
                 return ()  # a known vanishing block
@@ -381,7 +347,7 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
             rest = tuple(compress(zip(vecs, left), left))
             w_next = (w0 + r * ux, w1 + r * uy)
             if rest:
-                xn, xh, xe = suffix_sum(rest, w_next, su_dir, block)
+                xn, xh, xe = suffix_sum(rest, w_next, vm, su_dir, block)
                 if xe:  # a vanishing tail's hi means nothing
                     tails.append((r, fam * xn, xh, fam * xe))
             else:
@@ -395,8 +361,7 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
                 class_key = vectors_key(_class_form(closed))
                 hit = cache.get(class_key)
                 if hit is None:
-                    ends = _default_ends(closed, parent_vm=vm)
-                    packed = _chord_sum(closed, *ends, cache, memo, values, bits)
+                    packed = solve(closed, *_default_ends(closed, parent_vm=vm))
                     cache[class_key] = _unpack(packed, bits)
                 else:
                     packed = _pack(class_key, hit, bits)
@@ -411,6 +376,6 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
         return [(fn**r * xn, fh * r + xh, fe**r * xe) for r, xn, xh, xe in tails]
 
     try:
-        return suffix_sum(pool_items, (-v1[0], -v1[1]), None, None)
+        return solve(vectors, v1, vm)
     finally:
-        del suffix_sum, block_summand
+        del solve, suffix_sum, block_summand

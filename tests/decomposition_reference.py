@@ -9,6 +9,12 @@ with its blocks, slopes, signed multiplicities and the integer ``weight``
 counting the labeled-end assignments that realize it, so a test can rebuild
 the invariant term by term and check the structure of every term.
 
+The stream owns its enumerator: :func:`_sub_multisets` yields every
+nonempty sub-multiset of the pool with its complement and slope, and the
+rules below filter them. It shares no enumeration code with the engine it
+checks, whose own enumerator, ``chord_recursion._sub_multisets``, streams
+per-vector take counts and applies the sigma rules as it goes.
+
 The four admissibility rules are checked here in the same order as in
 ``_chord_sum``, with one difference: the colinear tie rule is
 ``block < prev_key`` here, where the engine uses ``<=``, because the stream
@@ -20,10 +26,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 from math import factorial, gcd
 from typing import Iterator, Sequence, Tuple
 
-from refined_chord.chord_recursion import _remove_ends, _sub_multisets
+from refined_chord.chord_recursion import _remove_ends
 from refined_chord.lattice import Degree, Vec, make_degree, omega
 
 Block = Tuple[Vec, ...]
@@ -141,6 +148,31 @@ def enumerate_decompositions(d: Degree, v1: Vec, vm: Vec) -> Iterator[ChordDecom
             sigma=sigmas,
             weight=_labeled_weight(pool, blocks, us),
         )
+
+
+def _sub_multisets(pool):
+    """All nonempty sub-multisets of ``pool`` with their complement and slope.
+
+    ``pool`` is a sorted tuple of ``(vector, count)`` pairs; each choice
+    yields ``(block, rest, u)`` where ``block`` is sorted and ``u`` is the
+    balancing slope ``-sum(block)``.
+    """
+    vecs = [v for v, _ in pool]
+    counts = [c for _, c in pool]
+    for takes in product(*(range(c + 1) for c in counts)):
+        if not any(takes):
+            continue
+        block = []
+        ux = uy = 0
+        for v, t in zip(vecs, takes):
+            if t:
+                block.extend((v,) * t)
+                ux -= v[0] * t
+                uy -= v[1] * t
+        rest = tuple(
+            (v, c - t) for v, c, t in zip(vecs, counts, takes) if c - t > 0
+        )
+        yield tuple(block), rest, (ux, uy)
 
 
 def _search(pool, w, prev_su_dir, prev_key, blocks, us, ws, sigmas):

@@ -390,15 +390,16 @@ def test_class_reuse_solves_fewer_chords_than_keys_written(monkeypatch):
     # the cache holds one entry per GL2(Z) class, written by the one chord
     # that solves it; P2:6 solves and writes 32 with class reuse and 57
     # without. Both count the engine's work: a block that no tail can follow
-    # is never solved
+    # is never solved. Chord ends are picked once per chord solved, the top
+    # level included, so the picks count the solves
     calls = []
-    real = chord_recursion._chord_sum
+    real = chord_recursion._default_ends
 
-    def spy(vectors, *args):
+    def spy(vectors, *args, **kwargs):
         calls.append(vectors)
-        return real(vectors, *args)
+        return real(vectors, *args, **kwargs)
 
-    monkeypatch.setattr(chord_recursion, "_chord_sum", spy)
+    monkeypatch.setattr(chord_recursion, "_default_ends", spy)
     cache = {}
     refined_invariant(parse_degree("P2:6"), cache=cache)
     assert len(calls) == len(cache) == 32
@@ -465,31 +466,29 @@ def test_suffix_memo_guard_changes_no_value(monkeypatch):
 
 
 def test_suffix_memo_guard_bounds_passers(monkeypatch):
-    # the memo holds one record of sigma passers per (vm, pool), and the
+    # the memo holds one record of sigma passers per (w, pool), and the
     # guard counts the passers, checked as a record is stored; sub-degree
     # values have their own dict that no clear touches, so a guarded run
     # solves the same chords and writes the same cache as an unguarded one
     d = parse_degree("P2:6")
     unguarded = chord_recursion.SUFFIX_MEMO_GUARD
     real = chord_recursion._chord_sum
+    real_ends = chord_recursion._default_ends
 
     def watched_run(guard):
-        calls, stores, clears, triggers, keys = [], [], [], [], set()
+        solves, stores, clears, triggers, keys = [], [], [], [], set()
         sizes = []
 
-        class Watched(chord_recursion._Records):
-            __slots__ = ()
-
+        class Watched(dict):
             def __setitem__(self, key, record):
                 dict.__setitem__(self, key, record)
                 keys.add(key)
-                assert self.passers == sum(map(len, self.values()))
-                stores.append(self.passers)
+                stores.append(sum(map(len, self.values())))
                 if len(clears) > len(triggers):
                     triggers.append(len(record))  # the record that cleared
 
             def clear(self):
-                clears.append(self.passers)
+                clears.append(sum(map(len, self.values())))
                 dict.clear(self)
 
         class Values(dict):
@@ -498,31 +497,67 @@ def test_suffix_memo_guard_bounds_passers(monkeypatch):
                 sizes.append(len(self))
 
         def spy(vectors, v1, vm, cache, memo, values, bits):
-            calls.append(vectors)
-            if type(values) is dict:  # the fresh dicts of a top-level solve
-                memo, values = Watched(), Values()
-            return real(vectors, v1, vm, cache, memo, values, bits)
+            return real(vectors, v1, vm, cache, Watched(), Values(), bits)
+
+        def ends(vectors, *args, **kwargs):  # once per chord solved
+            solves.append(vectors)
+            return real_ends(vectors, *args, **kwargs)
 
         monkeypatch.setattr(chord_recursion, "_chord_sum", spy)
+        monkeypatch.setattr(chord_recursion, "_default_ends", ends)
         monkeypatch.setattr(chord_recursion, "SUFFIX_MEMO_GUARD", guard)
         cache = {}
         refined_invariant(d, cache=cache)
-        return cache, calls, stores, list(zip(clears, triggers)), keys, sizes
+        return cache, solves, stores, list(zip(clears, triggers)), keys, sizes
 
     guard = 200  # above P2:6's largest record, 106 passers
-    guarded, guarded_calls, stores, clears, keys, sizes = watched_run(guard)
-    for vm, pool in keys:  # (vm, pool) records only
-        assert len(vm) == 2 and all(type(c) is int for c in vm)
+    guarded, guarded_solves, stores, clears, keys, sizes = watched_run(guard)
+    for w, pool in keys:  # (w, pool) records only
+        assert len(w) == 2 and all(type(c) is int for c in w)
         assert all(len(v) == 2 and c > 0 for v, c in pool)
     assert max(stores) <= guard  # never exceeded
     assert len(clears) > 1  # cleared
     # only for a record that would take the count past the guard
     assert all(held + size > guard for held, size in clears)
     assert sizes == sorted(sizes)  # values never cleared
-    exact, exact_calls, _, exact_clears, _, _ = watched_run(unguarded)
+    exact, exact_solves, _, exact_clears, _, _ = watched_run(unguarded)
     assert exact_clears == []
-    assert guarded_calls == exact_calls
+    assert len(guarded_solves) == 32
+    assert guarded_solves == exact_solves
     assert list(guarded.items()) == list(exact.items())
+
+
+def test_every_record_streams_through_the_enumerator(monkeypatch):
+    # the engine builds each record from _sub_multisets, wrapped here as the
+    # benchmark tracer wraps it: every (w, pool) is streamed exactly once,
+    # and the items streamed are the sigma passers the memo holds
+    d = parse_degree("P2:6")
+    plain = {}
+    value = refined_invariant(d, cache=plain)
+    real, real_sum = chord_recursion._sub_multisets, chord_recursion._chord_sum
+    streamed, memos = [], []
+    items = 0
+
+    def counted(key):
+        nonlocal items
+        streamed.append(key)
+        for item in real(key):
+            items += 1
+            yield item
+
+    def spy(vectors, v1, vm, cache, memo, values, bits):
+        memos.append(memo)
+        return real_sum(vectors, v1, vm, cache, memo, values, bits)
+
+    monkeypatch.setattr(chord_recursion, "_sub_multisets", counted)
+    monkeypatch.setattr(chord_recursion, "_chord_sum", spy)
+    cache = {}
+    assert refined_invariant(d, cache=cache) == value
+    assert list(cache.items()) == list(plain.items())
+    (memo,) = memos  # one slot width
+    assert len(streamed) == len(set(streamed)) == len(memo) > 0
+    assert set(streamed) == set(memo)
+    assert items == sum(map(len, memo.values())) > 0
 
 
 def test_narrow_slots_change_no_value(monkeypatch):

@@ -45,3 +45,7 @@ def test_workload_result_line_is_well_formed(workload, trace):
         value = m["value"]
         assert isinstance(value, (int, float)) and not isinstance(value, bool), name
         assert math.isfinite(value), name
+    if workload == "chord-cold" and trace == "1":
+        # the engine builds every record through the hooked enumerator
+        for name in ("chord_recursion.suffix_states", "chord_recursion.candidates"):
+            assert result["metrics"][name]["value"] > 0, name
