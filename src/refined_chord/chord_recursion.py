@@ -126,36 +126,36 @@ def _default_ends(
     parent_vm: Optional[Vec] = None,
 ) -> Tuple[Vec, Vec]:
     """Pick chord ends ``(v1, vm)`` minimizing, in this order: the distinct
-    vectors left in the pool, ``vm != parent_vm``, ``omega(v1, vm) > 0``,
-    then ``v1`` and ``vm`` lexicographically, so the pick is deterministic.
+    vectors left in the pool, ``vm != parent_vm``, the pool's sub-multisets
+    ``left = prod(c_v + 1)``, ``omega(v1, vm) >= 0``, then ``v1`` and ``vm``
+    lexicographically. A given ``v1`` or ``vm`` is kept.
 
-    A given ``v1`` or ``vm`` is kept and only the other end is chosen.
-    Correctness never depends on the choice, only the work does. Fewer
-    distinct vectors is a coarse proxy for fewer decompositions. Pool
-    records are keyed by ``(w, pool)`` across the sub-degrees of one call
-    (see :func:`_chord_sum`), and ``w = vm + sum(pool)``, so they are
-    shared per ``vm``: a sub-degree that reuses the ``vm`` of the chord that
-    spawned it (``parent_vm``; None at the top level) can find its pools
-    already streamed and their terms already filled. Preferring
-    ``omega(v1, vm) <= 0`` is empirical: it took fewer candidate blocks on
-    the benchmark degrees.
+    Only the work depends on the choice, never the value. Records are keyed
+    by ``(w, pool)`` across one call's sub-degrees (see :func:`_chord_sum`)
+    and ``w = vm + sum(pool)``, so a sub-degree that reuses the ``vm`` of
+    the chord that spawned it (``parent_vm``; None at the top level) can
+    find them already streamed. The chord's own solve streams at most
+    ``left - 1`` records, one per nonempty sub-multiset of the pool;
+    distinct vectors are a coarser proxy. ``omega < 0`` first is empirical
+    (``tests/end_choice_survey.py``).
     """
     counts = Counter(vectors)
     values = sorted(counts)
     total = len(counts)
+    size = prod([c + 1 for c in counts.values()])
     best = None
     for a in values if v1 is None else (v1,):
+        ca = counts[a]
         for b in values if vm is None else (vm,):
-            if a != b:
-                distinct = total - (counts[a] == 1) - (counts[b] == 1)
-            elif counts[a] < 2:
+            cb = counts[b] - (a == b)  # once a is removed
+            if a == b and not cb:
                 continue
-            else:
-                distinct = total - (counts[a] == 2)
-            cand = (distinct, b != parent_vm, omega(a, b) > 0, a, b)
+            distinct = total - (ca == 1) - (cb == 1)
+            left = size * ca // (ca + 1) * cb // (cb + 1)
+            cand = (distinct, b != parent_vm, left, omega(a, b) >= 0, a, b)
             if best is None or cand < best:
                 best = cand
-    return best[3], best[4]
+    return best[4], best[5]
 
 
 def refined_invariant(

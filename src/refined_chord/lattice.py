@@ -77,8 +77,7 @@ def make_degree(vectors: Iterable[Vec]) -> Degree:
     when the input is not a degree, ``TypeError`` for a float or a string.
     """
     vecs = tuple(sorted((index(x), index(y)) for x, y in vectors))
-    sx = sum(v[0] for v in vecs)
-    sy = sum(v[1] for v in vecs)
+    sx, sy = sum(x for x, _ in vecs), sum(y for _, y in vecs)
     if (sx, sy) != (0, 0):
         raise NonZeroSum(f"vectors sum to ({sx},{sy}), not (0,0)")
     if any(v == (0, 0) for v in vecs):
@@ -117,19 +116,14 @@ def _normal_form(vectors: Tuple[Vec, ...]) -> Tuple[Vec, ...]:
     one to one onto those of ``A * vectors``, so both get the same form."""
     counts = Counter(vectors).items()
     top = max([n for _, n in counts])
-    form = None
+    form = done = None
     for (px, py), c in counts:
         if c != top:
             continue
         g = gcd(px, py)
-        px //= g
-        py //= g
-        # alpha * px + beta * py == 1, so the row (alpha, beta) completes M
-        if py:
-            alpha = pow(px, -1, abs(py))
-            beta = (1 - alpha * px) // py
-        else:
-            alpha, beta = px, 0
+        px, py = px // g, py // g
+        alpha = pow(px, -1, abs(py)) if py else px
+        beta = (1 - alpha * px) // py if py else 0  # alpha * px + beta * py == 1
         # (x, omega(a', v), count) per distinct vector v
         rows = [(alpha * x + beta * y, px * y - py * x, n) for (x, y), n in counts]
         ys = sorted([y for _, y, _ in rows])
@@ -141,8 +135,14 @@ def _normal_form(vectors: Tuple[Vec, ...]) -> Tuple[Vec, ...]:
                 if s * y == d:
                     k = x // d * s  # the shear that puts b at (x mod d, d)
                     image = sorted([(u - k * v, s * v, n) for u, v, n in rows])
+                    if image == done:  # a symmetry maps a's candidates onto earlier a's
+                        break
                     if form is None or image < form:
                         form = image
+            else:
+                continue
+            break
+        done = form
     return tuple([xy for x, y, n in form for xy in [(x, y)] * n])
 
 

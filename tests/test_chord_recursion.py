@@ -29,6 +29,7 @@ from decomposition_reference import (
     enumerate_decompositions,
     sub_degree,
 )
+import end_choice_survey
 
 P = RefinedPolynomial
 
@@ -250,31 +251,43 @@ def test_end_choice_invariance_every_sub_degree(monkeypatch, seed, class_reuse):
 
 
 def test_default_ends_tie_break():
+    # these pin a heuristic, not a correctness property: the value is the
+    # same for every pick (test_end_choice_invariance_every_sub_degree), the
+    # key only sets the work
     p2_3 = cp2_degree(3, [1, 1, 1]).vectors
-    # every pair leaves 3 distinct vectors; omega(v1, vm) <= 0 comes next
+    # every pair leaves 3 distinct vectors; a pair of equal ends leaves a
+    # smaller pool (32 sub-multisets, against 36 for two different ends)
     assert _default_ends(p2_3) == ((-1, 0), (-1, 0))
-    # the parent's vm is preferred among equal distinct counts
-    assert _default_ends(p2_3, parent_vm=(1, 1)) == ((-1, 0), (1, 1))
-    # omega((-1, 0), (0, -1)) = 1 > 0 gives way to omega = 0
-    assert _default_ends(p2_3, parent_vm=(0, -1)) == ((0, -1), (0, -1))
+    # the parent's vm is preferred among equal distinct counts, and the
+    # smaller pool then beats omega((-1, 0), (1, 1)) < 0
+    assert omega((-1, 0), (1, 1)) < 0
+    assert _default_ends(p2_3, parent_vm=(1, 1)) == ((1, 1), (1, 1))
     # a parent that is not in the degree changes nothing
     assert _default_ends(p2_3, parent_vm=(5, 5)) == _default_ends(p2_3)
     fan = make_degree([(-1, 0), (-1, 0), (1, 2), (1, -2)]).vectors
     # fewer distinct vectors beats the parent's vm
     assert _default_ends(fan, parent_vm=(-1, 0)) == ((1, 2), (1, -2))
-    # and the parent's vm beats omega(v1, vm) <= 0
-    assert omega((1, -2), (1, 2)) > 0
-    assert _default_ends(fan, parent_vm=(1, 2)) == ((1, -2), (1, 2))
+    # and the parent's vm beats a smaller pool: (1, -2) twice leaves 56
+    # sub-multisets, (1, -2) and (-1, 0) leave 72
+    heavy = make_degree([(-1, 0)] * 6 + [(1, 2)] * 3 + [(1, -2)] * 3).vectors
+    assert _default_ends(heavy) == ((1, -2), (1, -2))
+    assert _default_ends(heavy, parent_vm=(-1, 0)) == ((1, -2), (-1, 0))
+    # among equal pools omega(v1, vm) < 0 comes first: (1, 2) leaves 72 too,
+    # but omega((1, 2), (-1, 0)) > 0
+    assert omega((1, -2), (-1, 0)) < 0 < omega((1, 2), (-1, 0))
+    hexagon = make_degree([(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)])
+    # and omega < 0 before omega == 0: omega((-1, 0), (1, 0)) = 0
+    assert _default_ends(hexagon.vectors, vm=(1, 0)) == ((-1, 1), (1, 0))
     # a given end is kept
-    assert _default_ends(fan, v1=(-1, 0)) == ((-1, 0), (-1, 0))
+    assert _default_ends(fan, v1=(-1, 0)) == ((-1, 0), (1, 2))
     assert _default_ends(fan, vm=(1, 2)) == ((1, -2), (1, 2))
     # deterministic: repeated and reordered calls agree
     assert _default_ends(tuple(reversed(fan)), parent_vm=(1, 2)) == ((1, -2), (1, 2))
 
 
 def _default_ends_by_definition(vectors, v1=None, vm=None, parent_vm=None):
-    # the O(k^3) count of distinct vectors left that _default_ends replaced
-    # by its closed form; everything else as in _default_ends
+    # the O(k^3) counts of distinct vectors and of sub-multisets left that
+    # _default_ends replaced by closed forms; everything else as there
     counts = Counter(vectors)
     values = sorted(counts)
     best = None
@@ -282,13 +295,15 @@ def _default_ends_by_definition(vectors, v1=None, vm=None, parent_vm=None):
         for b in values if vm is None else (vm,):
             if a == b and counts[a] < 2:
                 continue
-            distinct = sum(
-                1 for v, c in counts.items() if c - (v == a) - (v == b) > 0
-            )
-            cand = (distinct, b != parent_vm, omega(a, b) > 0, a, b)
+            after = [c - (v == a) - (v == b) for v, c in counts.items()]
+            distinct = sum(1 for c in after if c > 0)
+            left = 1
+            for c in after:
+                left *= c + 1
+            cand = (distinct, b != parent_vm, left, omega(a, b) >= 0, a, b)
             if best is None or cand < best:
                 best = cand
-    return best[3], best[4]
+    return best[4], best[5]
 
 
 small_vecs = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
@@ -558,6 +573,48 @@ def test_every_record_streams_through_the_enumerator(monkeypatch):
     assert len(streamed) == len(set(streamed)) == len(memo) > 0
     assert set(streamed) == set(memo)
     assert items == sum(map(len, memo.values())) > 0
+
+
+CHORD_COLD = ["P2:5", "P1xP1:3,4", "P2:6:3,1,1,1", "P2:6", "P2:7:2,2,2,1"]
+
+
+def test_chord_cold_pass_work_is_pinned(monkeypatch):
+    # the work of one cold pass over the benchmark's chord-cold degrees, set
+    # by _default_ends alone (every pick gives the same values): records
+    # streamed, sigma passers and chords solved. The key without the pool
+    # term, (distinct, b != parent_vm, omega > 0, a, b), gave 1,595 / 18,181
+    # / 138; adding the sub-multisets left gives 1,348 / 16,248 / 120. A
+    # change to the pick should move these on purpose, with
+    # tests/end_choice_survey.py run on the broad corpus
+    real_stream, real_ends = chord_recursion._sub_multisets, chord_recursion._default_ends
+    records = passers = chords = 0
+
+    def stream(key):
+        nonlocal records, passers
+        records += 1
+        for item in real_stream(key):
+            passers += 1
+            yield item
+
+    def ends(*args, **kwargs):
+        nonlocal chords
+        chords += 1
+        return real_ends(*args, **kwargs)
+
+    monkeypatch.setattr(chord_recursion, "_sub_multisets", stream)
+    monkeypatch.setattr(chord_recursion, "_default_ends", ends)
+    for spec in CHORD_COLD:
+        refined_invariant(parse_degree(spec), cache={})
+    assert (records, passers, chords) == (1348, 16248, 120)
+
+
+def test_end_choice_survey_runs(capsys):
+    # the survey script is not collected; its counts are this module's spies'
+    assert end_choice_survey.work("P2:6:3,1,1,1") == (174, 2108, 17)
+    assert end_choice_survey.main(["P2:3", "P2:4"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 4 and rows[-1].split()[-3:] == ["104", "653", "9"]
+    assert len(end_choice_survey.broad_corpus()) == 82
 
 
 def test_narrow_slots_change_no_value(monkeypatch):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +17,7 @@ from refined_chord import (
     make_degree,
 )
 from refined_chord.cli import parse_degree
-from refined_chord.lattice import omega
+from refined_chord.lattice import _normal_form, omega
 from conftest import GL2_MOVES
 
 coords = st.integers(-10**9, 10**9)
@@ -131,6 +132,51 @@ def test_canonical_key_stable_serialization():
 )
 def test_canonical_key_is_pinned(spec, key):
     assert canonical_key(parse_degree(spec)) == key
+
+
+def _least_candidate(vectors):
+    # _normal_form's definition without its skip: every candidate of every
+    # end of largest multiplicity is built, and the least one kept
+    counts = Counter(vectors).items()
+    top = max(n for _, n in counts)
+    images = []
+    for (px, py), c in counts:
+        if c != top:
+            continue
+        g = math.gcd(px, py)
+        px, py = px // g, py // g
+        alpha = pow(px, -1, abs(py)) if py else px
+        beta = (1 - alpha * px) // py if py else 0
+        rows = [(alpha * x + beta * y, px * y - py * x, n) for (x, y), n in counts]
+        ys = [y for _, y, _ in rows]
+        if not any(ys):
+            images += [sorted((s * x, 0, n) for x, _, n in rows) for s in (1, -1)]
+            continue
+        for s in (1, -1):
+            d = min(s * y for y in ys if s * y > 0)
+            for x, y, _ in rows:
+                if s * y == d:
+                    k = x // d * s
+                    images.append(sorted((u - k * v, s * v, n) for u, v, n in rows))
+    return tuple(xy for x, y, n in min(images) for xy in [(x, y)] * n)
+
+
+def test_normal_form_skips_only_symmetric_copies():
+    # _normal_form leaves an end once one of its candidates equals the least
+    # of the ends before it; on degrees with symmetries (each closed under
+    # v -> -v, or a hexagon or P1xP1 family) it still finds the least
+    rng = random.Random(3)
+    hexagon = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
+    degrees = [hexagon * k for k in (1, 2)]
+    degrees += [parse_degree(f"P1xP1:{a},{b}").vectors for a in (1, 2, 3) for b in (1, 2, 3)]
+    degrees += [parse_degree(f"P2:{d}").vectors for d in (2, 3, 4)]
+    box = [v for v in itertools.product(range(-3, 4), repeat=2) if v != (0, 0)]
+    for _ in range(2000):
+        half = rng.choices(box, k=rng.randint(1, 4))
+        degrees.append(half + [(-x, -y) for x, y in half])
+    for vectors in degrees:
+        vectors = tuple(sorted(vectors))
+        assert _normal_form(vectors) == _least_candidate(vectors), vectors
 
 
 def _class_invariants(vectors):
