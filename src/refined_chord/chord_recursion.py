@@ -56,9 +56,9 @@ from .refined_poly import (
 _ONE = RefinedPolynomial.one()
 
 # sigma passers held in the (w, pool) records of one top-level memo, each
-# with at most one filled slot of terms: P2:10 peaks at 96,222 (38 MB peak),
-# P2:11 at 166,046 (55 MB) and P2:12 at 263,754 (83 MB), so no triangle
-# degree up to 12 reaches the guard; P2:13 clears it once and P2:14 6 times.
+# with at most one filled slot of terms: P2:10 peaks at 92,582 (37 MB peak),
+# P2:11 at 160,979 (54 MB) and P2:12 at 256,808 (82 MB), so no triangle
+# degree up to 12 reaches the guard; P2:13 clears it once and P2:14 5 times.
 # Chosen by bytes: at 500,000 cold P2:14 took 160 MB, at this guard 136 MB.
 # Clearing costs time, not values. Sub-degree values are kept apart, never
 # cleared.
@@ -117,6 +117,42 @@ def _sub_multisets(key):
         sigma = w0 * uy - w1 * ux  # omega(w, u)
         if sigma and (sigma < 0 or n == 1):
             yield [ux, uy, sigma, n, tuple(takes), None]
+
+
+def _live_runs(vecs, counts, takes, w, u, su_dir):
+    """For each run length ``r = 1, 2, ...`` of the block taking ``takes``
+    from the pool ``zip(vecs, counts)``, False if the state after the run
+    (at ``w + r * u``, after ``su_dir``, the block its ``prev_key``) is
+    proven to admit no next block, so its tail sums to zero; see
+    :func:`_chord_sum` for the rule."""
+    (w0, w1), (ux, uy), (s0, s1) = w, u, su_dir
+    live = []
+    for r in range(1, min([c // t for c, t in zip(counts, takes) if t]) + 1):
+        x0, x1 = w0 + r * ux, w1 + r * uy
+        # p: the most counterclockwise (a, b) with a < 0 <= b, q: the most
+        # clockwise with b < 0 <= a; some pair has omega(p, q) > 0 iff these do
+        pa = pb = qa = qb = 0
+        axis = rest = False
+        for v, c, t in zip(vecs, counts, takes):
+            c -= r * t
+            if not c:
+                continue
+            rest = True
+            a = x1 * v[0] - x0 * v[1]  # the sigma of {v}
+            b = s1 * v[0] - s0 * v[1]  # its cross
+            if a * b > 0 or a and not b and v > vecs[[t > 0 for t in takes].index(True)]:
+                live.append(True)  # {v} passes; a tie needs v > the block's least end
+                break
+            if b < 0:
+                if not qb or a * qb > b * qa:
+                    qa, qb = a, b
+            elif a < 0:
+                if not pa or pa * b > pb * a:
+                    pa, pb = a, b
+                axis = axis or not b and c > 1
+        else:
+            live.append(not rest or axis or pa * qb > pb * qa)
+    return live
 
 
 def _default_ends(
@@ -258,6 +294,27 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
     coordinates, and ``cache`` written once per class. ``values`` is never
     cleared and keeps packed values; ``cache`` keeps unpacked polynomials.
 
+    Before a passer's tails are visited, :func:`_live_runs` tests each run
+    length for a next block that could pass at ``w' = w + r * u`` after
+    ``su_dir``. An end ``v`` of the tail's pool has ``a = omega(w', -v)``
+    and ``b = omega(su_dir, -v)``, the sigma and cross of the singleton
+    ``{v}``; a block's are the sums over its ends. A singleton passes iff
+    ``a * b > 0``, or ``a != 0 == b`` and ``(v,)`` beats the tie rule, i.e.
+    ``v`` exceeds the least end of the run's block. A block of two or more
+    ends needs its sum in ``{a < 0, b <= 0}``. With no singleton passing,
+    the only ends in that region lie on its edge ``a < 0 == b``, so by
+    Caratheodory's theorem in the plane the sum lies in the cone of an edge
+    end, or of a ``p`` with ``a < 0 <= b`` and a ``q`` with ``b < 0 <= a``
+    and ``omega(p, q) > 0``. An edge end forms such a pair with every
+    ``q``, so without a pair the block's ends all have ``b = 0 != a``; its
+    cross is 0, and since none exceeds the run block's least end, the tie
+    rule leaves only copies of that end: an edge end of count 2 or more.
+    A run with no passing singleton, no such pair and no such end is
+    skipped unvisited, and a passer with no live run stores ``()`` before
+    its block is built. The test is necessary, not sufficient: it ignores
+    the counts that a block of several ends needs, the tie rule for such a
+    block and the tails after it, so a kept tail can still sum to zero.
+
     The weight of a run of ``r`` identical blocks, taking ``t_v`` of each
     vector ``v`` from a pool of ``c_v``, is ``fam_r = fam_(r-1) * X_r / r``
     with ``X_r = prod_v C(c_v - (r-1) t_v, t_v)`` and ``fam_0 = 1``. The
@@ -327,6 +384,11 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
         # one term per run of r >= 1 blocks taking ``takes`` from the pool
         # whose tail survives; the tails first, so a block that no tail can
         # follow is never solved
+        g = gcd(ux, uy) if sigma > 0 else -gcd(ux, uy)
+        su_dir = (ux // g, uy // g)  # primitive(sigma * u)
+        live = _live_runs(vecs, counts, takes, (w0, w1), (ux, uy), su_dir)
+        if True not in live:
+            return ()  # no run leaves a tail that admits a block
         block = ()
         for v, t in zip(vecs, takes):
             if t:
@@ -336,14 +398,14 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
             packed = values.get(closed)
             if packed is not None and not packed[2]:
                 return ()  # a known vanishing block
-        g = gcd(ux, uy) if sigma > 0 else -gcd(ux, uy)
-        su_dir = (ux // g, uy // g)  # primitive(sigma * u)
         tails = []  # (r, fam * tail), for the tails that do not vanish
         fam = 1
         left = counts
-        for r in range(1, min([c // t for c, t in zip(counts, takes) if t]) + 1):
+        for r, ok in enumerate(live, 1):
             fam = fam * prod(map(comb, left, takes)) // r
             left = list(map(sub, left, takes))
+            if not ok:
+                continue
             rest = tuple(compress(zip(vecs, left), left))
             w_next = (w0 + r * ux, w1 + r * uy)
             if rest:

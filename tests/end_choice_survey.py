@@ -5,10 +5,13 @@
 
 For each degree, solved once with a fresh cache, it prints the records
 streamed (calls of ``_sub_multisets``), the sigma passers they hold (its
-items) and the chords solved (calls of ``_default_ends``, once per chord,
-the top level included), then the totals. The counts are deterministic and
-depend only on which chord ends ``_default_ends`` picks, so they are the
-measure to compare end-choice keys on; every key gives the same values.
+items), the chords solved (calls of ``_default_ends``, once per chord,
+the top level included) and the tails refused (the False entries that
+``_live_runs`` returns, tails skipped unvisited), then the totals. The
+counts are deterministic. They depend on which chord ends
+``_default_ends`` picks and on what ``_live_runs`` refuses, never the
+values, so with the rule fixed they are the measure to compare end-choice
+keys on.
 The file name keeps it out of pytest's collection;
 ``test_chord_recursion.py`` runs :func:`work` on one degree so the script
 cannot rot. The broad corpus is every triangle partition for d = 3..8,
@@ -54,10 +57,12 @@ def broad_corpus():
 
 
 def work(spec):
-    """``(records, passers, chords solved)`` of one cold solve of ``spec``."""
+    """``(records, passers, chords solved, tails refused)`` of one cold
+    solve of ``spec``."""
     real_stream = chord_recursion._sub_multisets
     real_ends = chord_recursion._default_ends
-    counts = [0, 0, 0]
+    real_live = chord_recursion._live_runs
+    counts = [0, 0, 0, 0]
 
     def stream(key):
         counts[0] += 1
@@ -69,26 +74,34 @@ def work(spec):
         counts[2] += 1
         return real_ends(*args, **kwargs)
 
+    def live(*args):
+        runs = real_live(*args)
+        counts[3] += runs.count(False)
+        return runs
+
     chord_recursion._sub_multisets = stream
     chord_recursion._default_ends = ends
+    chord_recursion._live_runs = live
     try:
         refined_invariant(parse_degree(spec), cache={})
     finally:
         chord_recursion._sub_multisets = real_stream
         chord_recursion._default_ends = real_ends
+        chord_recursion._live_runs = real_live
     return tuple(counts)
 
 
 def main(argv=None) -> int:
     """Print the work of each spec in ``argv`` (default: the broad corpus)."""
     specs = list(argv) if argv else broad_corpus()
-    total = [0, 0, 0]
-    print(f"{'degree':<42} {'records':>8} {'passers':>9} {'chords':>7}")
+    total = [0, 0, 0, 0]
+    print(f"{'degree':<42} {'records':>8} {'passers':>9} {'chords':>7} {'refused':>8}")
     for spec in specs:
         row = work(spec)
         total = [t + c for t, c in zip(total, row)]
-        print(f"{spec:<42} {row[0]:>8} {row[1]:>9} {row[2]:>7}", flush=True)
-    print(f"{f'total ({len(specs)} degrees)':<42} {total[0]:>8} {total[1]:>9} {total[2]:>7}")
+        print(f"{spec:<42} {row[0]:>8} {row[1]:>9} {row[2]:>7} {row[3]:>8}", flush=True)
+    label = f"total ({len(specs)} degrees)"
+    print(f"{label:<42} {total[0]:>8} {total[1]:>9} {total[2]:>7} {total[3]:>8}")
     return 0
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import random
 from collections import Counter
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -575,17 +576,98 @@ def test_every_record_streams_through_the_enumerator(monkeypatch):
     assert items == sum(map(len, memo.values())) > 0
 
 
+def _tail_states(vecs, counts, takes, w):
+    """What ``block_summand`` sees for the candidate ``takes`` of the record
+    ``(w, zip(vecs, counts))``: ``(u, su_dir, block, tails)``, ``tails``
+    holding ``(rest, w')`` after each run ``r = 1, 2, ...``; None if the
+    candidate is not a sigma passer."""
+    n = sum(takes)
+    u = (-sum(t * v[0] for v, t in zip(vecs, takes)), -sum(t * v[1] for v, t in zip(vecs, takes)))
+    sigma = omega(w, u)
+    if not n or not sigma or (sigma > 0 and n > 1):
+        return None
+    g = gcd(*u) if sigma > 0 else -gcd(*u)
+    block = tuple(v for v, t in zip(vecs, takes) for _ in range(t))
+    tails = []
+    for r in range(1, min(c // t for c, t in zip(counts, takes) if t) + 1):
+        rest = tuple((v, c - r * t) for v, c, t in zip(vecs, counts, takes) if c > r * t)
+        tails.append((rest, (w[0] + r * u[0], w[1] + r * u[1])))
+    return u, (u[0] // g, u[1] // g), block, tails
+
+
+def _admitted(rest, w, su_dir, prev_key):
+    """The blocks of the record ``(w, rest)`` that a state after ``su_dir``
+    and ``prev_key`` admits, by the state loop's cross and tie rules."""
+    vecs = [v for v, _ in rest]
+    admitted = []
+    for ux, uy, sigma, _, takes, _ in chord_recursion._sub_multisets((w, rest)):
+        cross = omega(su_dir, (ux, uy))
+        block = tuple(v for v, t in zip(vecs, takes) for _ in range(t))
+        if cross * sigma >= 0 and (cross or block > prev_key):
+            admitted.append(block)
+    return admitted
+
+
+def test_live_runs_refuses_only_tails_that_admit_nothing():
+    # the rule is a necessary condition: on seeded random passers (vectors
+    # in [-3, 3]^2, up to 4 distinct, counts up to 3) a refused tail admits
+    # no block at all, and the rule refuses often enough to be tested
+    rng = random.Random(32)
+    grid = [(x, y) for x in range(-3, 4) for y in range(-3, 4) if (x, y) != (0, 0)]
+    tails = refused = 0
+    while tails < 4000:
+        vecs = tuple(sorted(rng.sample(grid, rng.randint(1, 4))))
+        counts = tuple(rng.randint(1, 3) for _ in vecs)
+        takes = tuple(rng.randint(0, c) for c in counts)
+        w = (rng.randint(-4, 4), rng.randint(-4, 4))
+        states = _tail_states(vecs, counts, takes, w)
+        if states is None:
+            continue
+        u, su_dir, block, after = states
+        live = chord_recursion._live_runs(vecs, counts, takes, w, u, su_dir)
+        assert len(live) == len(after) and {type(ok) for ok in live} == {bool}
+        for ok, (rest, w_next) in zip(live, after):
+            tails += 1
+            if not ok:
+                refused += 1
+                assert rest and not _admitted(rest, w_next, su_dir, block)
+    assert refused > 1000
+
+
+def test_live_runs_keeps_the_colinear_and_the_pair_only_tails():
+    # the axis case: after the block ((0,-1),) the pool (-1,0)^3,(0,-1)^2 at
+    # w' = (-1,0) after su_dir (0,-1) admits only the colinear block
+    # (0,-1)^2: no singleton passes and no pair of ends crosses
+    vecs, counts, takes, w = ((-1, 0), (0, -1)), (3, 3), (0, 1), (-1, -1)
+    u, su_dir, block, after = _tail_states(vecs, counts, takes, w)
+    assert (su_dir, block) == ((0, -1), ((0, -1),))
+    assert after[0] == ((((-1, 0), 3), ((0, -1), 2)), (-1, 0))
+    assert _admitted(*after[0], su_dir, block) == [((0, -1), (0, -1))]
+    assert chord_recursion._live_runs(vecs, counts, takes, w, u, su_dir)[0] is True
+    # the pair-only case: after the block ((-1,0),) the pool (-1,1),(0,-1)
+    # at w' = (2,1) after su_dir (-1,0) admits only the two-end block, whose
+    # ends p = (-3, 1) and q = (2, -1) have omega(p, q) = 1 > 0
+    vecs, counts, takes, w = ((-1, 0), (-1, 1), (0, -1)), (1, 1, 1), (1, 0, 0), (1, 1)
+    u, su_dir, block, after = _tail_states(vecs, counts, takes, w)
+    assert (su_dir, block) == ((-1, 0), ((-1, 0),))
+    assert after == [((((-1, 1), 1), ((0, -1), 1)), (2, 1))]
+    assert _admitted(*after[0], su_dir, block) == [((-1, 1), (0, -1))]
+    assert chord_recursion._live_runs(vecs, counts, takes, w, u, su_dir) == [True]
+
+
 CHORD_COLD = ["P2:5", "P1xP1:3,4", "P2:6:3,1,1,1", "P2:6", "P2:7:2,2,2,1"]
 
 
 def test_chord_cold_pass_work_is_pinned(monkeypatch):
     # the work of one cold pass over the benchmark's chord-cold degrees, set
-    # by _default_ends alone (every pick gives the same values): records
-    # streamed, sigma passers and chords solved. The key without the pool
-    # term, (distinct, b != parent_vm, omega > 0, a, b), gave 1,595 / 18,181
-    # / 138; adding the sub-multisets left gives 1,348 / 16,248 / 120. A
-    # change to the pick should move these on purpose, with
-    # tests/end_choice_survey.py run on the broad corpus
+    # by _default_ends and by the tails _live_runs refuses (neither changes
+    # a value): records streamed, sigma passers and chords solved. The key
+    # without the pool term, (distinct, b != parent_vm, omega > 0, a, b),
+    # gave 1,595 / 18,181 / 138; adding the sub-multisets left gave 1,348 /
+    # 16,248 / 120; skipping the tails _live_runs refuses gives 924 / 13,778
+    # / 120, the same chords. A change to the pick or to the rule should
+    # move these on purpose, with tests/end_choice_survey.py run on the
+    # broad corpus
     real_stream, real_ends = chord_recursion._sub_multisets, chord_recursion._default_ends
     records = passers = chords = 0
 
@@ -605,15 +687,17 @@ def test_chord_cold_pass_work_is_pinned(monkeypatch):
     monkeypatch.setattr(chord_recursion, "_default_ends", ends)
     for spec in CHORD_COLD:
         refined_invariant(parse_degree(spec), cache={})
-    assert (records, passers, chords) == (1348, 16248, 120)
+    assert (records, passers, chords) == (924, 13778, 120)
 
 
 def test_end_choice_survey_runs(capsys):
-    # the survey script is not collected; its counts are this module's spies'
-    assert end_choice_survey.work("P2:6:3,1,1,1") == (174, 2108, 17)
+    # the survey script is not collected; its counts are this module's
+    # spies'. Before _live_runs these were (174, 2108, 17) and, for P2:3
+    # and P2:4 together, 104 / 653 / 9
+    assert end_choice_survey.work("P2:6:3,1,1,1") == (118, 1793, 17, 390)
     assert end_choice_survey.main(["P2:3", "P2:4"]) == 0
     rows = capsys.readouterr().out.splitlines()
-    assert len(rows) == 4 and rows[-1].split()[-3:] == ["104", "653", "9"]
+    assert len(rows) == 4 and rows[-1].split()[-4:] == ["63", "507", "9", "127"]
     assert len(end_choice_survey.broad_corpus()) == 82
 
 
@@ -696,6 +780,20 @@ def test_explicit_chord_neither_reads_nor_writes_the_top_level_entry():
     assert cache and key not in cache
 
 
+def _decomposition_sum(d, v1, vm, cache):
+    """The invariant rebuilt term by term from the reference stream of
+    decompositions, which prunes no tail, with the chord ``(v1, vm)``."""
+    total = P.zero()
+    for dec in enumerate_decompositions(d, v1, vm):
+        term = P({0: dec.weight})
+        for block, sig in zip(dec.blocks, dec.sigma):
+            term = term * q_analog(abs(sig))
+            if len(block) > 1:
+                term = term * refined_invariant(sub_degree(block), cache=cache)
+        total = total + term
+    return total
+
+
 def test_generator_sum_matches_fast_engine():
     # the reference stream of decompositions carries enough data to rebuild
     # the invariant term by term
@@ -707,15 +805,7 @@ def test_generator_sum_matches_fast_engine():
         counts = Counter(d.vectors)
         v1 = vals[0]
         vm = vals[-1] if vals[-1] != v1 or counts[v1] > 1 else vals[0]
-        total = P.zero()
-        for dec in enumerate_decompositions(d, v1, vm):
-            term = P({0: dec.weight})
-            for block, sig in zip(dec.blocks, dec.sigma):
-                term = term * q_analog(abs(sig))
-                if len(block) > 1:
-                    term = term * refined_invariant(sub_degree(block), cache=cache)
-            total = total + term
-        assert total == refined_invariant(d, cache=cache), name
+        assert _decomposition_sum(d, v1, vm, cache) == refined_invariant(d, cache=cache), name
 
 
 def test_labeled_weights_count_end_assignments():
@@ -747,3 +837,25 @@ def test_invariant_structure_on_random_degrees(vecs):
     assert value.is_palindromic()
     assert value.uniform_parity()
     assert all(c > 0 for _, c in value.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(small_vec, min_size=2, max_size=5), st.data())
+def test_decomposition_sum_matches_engine_on_random_degrees(vecs, data):
+    # the engine skips the tails that _live_runs refuses, the reference
+    # stream none: on a random degree of at most 6 ends and a random chord
+    # the two sums must agree
+    sx = sum(v[0] for v in vecs)
+    sy = sum(v[1] for v in vecs)
+    if (sx, sy) != (0, 0):
+        vecs = vecs + [(-sx, -sy)]
+    assume((0, 0) not in vecs and len(vecs) >= 3)
+    d = make_degree(vecs)
+    counts = Counter(d.vectors)
+    v1, vm = data.draw(
+        st.sampled_from(
+            [(a, b) for a in sorted(counts) for b in sorted(counts) if a != b or counts[a] > 1]
+        )
+    )
+    cache = {}
+    assert _decomposition_sum(d, v1, vm, cache) == refined_invariant(d, v1=v1, vm=vm, cache=cache)
