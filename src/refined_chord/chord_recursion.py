@@ -119,40 +119,28 @@ def _sub_multisets(key):
             yield [ux, uy, sigma, n, tuple(takes), None]
 
 
-def _live_runs(vecs, counts, takes, w, u, su_dir):
-    """For each run length ``r = 1, 2, ...`` of the block taking ``takes``
-    from the pool ``zip(vecs, counts)``, False if the state after the run
-    (at ``w + r * u``, after ``su_dir``, the block its ``prev_key``) is
-    proven to admit no next block, so its tail sums to zero; see
-    :func:`_chord_sum` for the rule."""
-    (w0, w1), (ux, uy), (s0, s1) = w, u, su_dir
-    live = []
-    for r in range(1, min([c // t for c, t in zip(counts, takes) if t]) + 1):
-        x0, x1 = w0 + r * ux, w1 + r * uy
-        # p: the most counterclockwise (a, b) with a < 0 <= b, q: the most
-        # clockwise with b < 0 <= a; some pair has omega(p, q) > 0 iff these do
-        pa = pb = qa = qb = 0
-        axis = rest = False
-        for v, c, t in zip(vecs, counts, takes):
-            c -= r * t
-            if not c:
-                continue
-            rest = True
-            a = x1 * v[0] - x0 * v[1]  # the sigma of {v}
-            b = s1 * v[0] - s0 * v[1]  # its cross
-            if a * b > 0 or a and not b and v > vecs[[t > 0 for t in takes].index(True)]:
-                live.append(True)  # {v} passes; a tie needs v > the block's least end
-                break
-            if b < 0:
-                if not qb or a * qb > b * qa:
-                    qa, qb = a, b
-            elif a < 0:
-                if not pa or pa * b > pb * a:
-                    pa, pb = a, b
-                axis = axis or not b and c > 1
-        else:
-            live.append(not rest or axis or pa * qb > pb * qa)
-    return live
+def _admits_block(pool, w, su_dir, least):
+    """False if the state of ``pool`` at slope ``w``, after ``su_dir`` and a
+    block whose least end is ``least``, is proven to admit no next block, so
+    its tail sums to zero; see :func:`_chord_sum` for the rule."""
+    (w0, w1), (s0, s1) = w, su_dir
+    # p: the most counterclockwise (a, b) with a < 0 <= b, q: the most
+    # clockwise with b < 0 <= a; some pair has omega(p, q) > 0 iff these do
+    pa = pb = qa = qb = 0
+    for v, c in pool:
+        a = w1 * v[0] - w0 * v[1]  # the sigma of {v}
+        b = s1 * v[0] - s0 * v[1]  # its cross
+        if a * b > 0 or a and not b and v > least:
+            return True  # {v} passes; a tie needs v > the block's least end
+        if b < 0:
+            if not qb or a * qb > b * qa:
+                qa, qb = a, b
+        elif a < 0:
+            if not b and c > 1:
+                return True  # copies of an edge end
+            if not pa or pa * b > pb * a:
+                pa, pb = a, b
+    return pa * qb > pb * qa
 
 
 def _default_ends(
@@ -287,17 +275,19 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
     the tails are summed first, so a closed block is solved only when some
     tail survives. The pool never holds the chord's two ends, so a closed
     block has at most ``m - 1`` ends. It is looked up in ``values`` under
-    its sorted vectors, before the tails, where a block known to vanish
-    returns at once; on a miss, and only when a tail survives, ``cache`` is
-    asked under its :func:`_class_form`'s string, since N(A * D) = N(D) for
-    A in GL2(Z). Only when both miss is the block solved, in its own
-    coordinates, and ``cache`` written once per class. ``values`` is never
-    cleared and keeps packed values; ``cache`` keeps unpacked polynomials.
+    its sorted vectors at the first run whose tail is kept, before that
+    tail is visited, and a block known to vanish returns at once; on a
+    miss, and only when a tail survives, ``cache`` is asked under its
+    :func:`_class_form`'s string, since N(A * D) = N(D) for A in GL2(Z).
+    Only when both miss is the block solved, in its own coordinates, and
+    ``cache`` written once per class. ``values`` is never cleared and keeps
+    packed values; ``cache`` keeps unpacked polynomials.
 
-    Before a passer's tails are visited, :func:`_live_runs` tests each run
-    length for a next block that could pass at ``w' = w + r * u`` after
-    ``su_dir``. An end ``v`` of the tail's pool has ``a = omega(w', -v)``
-    and ``b = omega(su_dir, -v)``, the sigma and cross of the singleton
+    In its one loop over run lengths ``block_summand`` asks
+    :func:`_admits_block` whether the tail's state, the pool left at
+    ``w' = w + r * u`` after ``su_dir``, could admit a next block. An end
+    ``v`` of that pool has ``a = omega(w', -v)`` and
+    ``b = omega(su_dir, -v)``, the sigma and cross of the singleton
     ``{v}``; a block's are the sums over its ends. A singleton passes iff
     ``a * b > 0``, or ``a != 0 == b`` and ``(v,)`` beats the tie rule, i.e.
     ``v`` exceeds the least end of the run's block. A block of two or more
@@ -310,10 +300,12 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
     cross is 0, and since none exceeds the run block's least end, the tie
     rule leaves only copies of that end: an edge end of count 2 or more.
     A run with no passing singleton, no such pair and no such end is
-    skipped unvisited, and a passer with no live run stores ``()`` before
-    its block is built. The test is necessary, not sufficient: it ignores
-    the counts that a block of several ends needs, the tie rule for such a
-    block and the tails after it, so a kept tail can still sum to zero.
+    skipped unvisited; a run that empties the pool is not asked. The block
+    is built at the first run kept, so a passer with no kept run stores
+    ``()`` having built nothing. The test is necessary, not sufficient: it
+    ignores the counts that a block of several ends needs, the tie rule
+    for such a block and the tails after it, so a kept tail can still sum
+    to zero.
 
     The weight of a run of ``r`` identical blocks, taking ``t_v`` of each
     vector ``v`` from a pool of ``c_v``, is ``fam_r = fam_(r-1) * X_r / r``
@@ -386,28 +378,28 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
         # follow is never solved
         g = gcd(ux, uy) if sigma > 0 else -gcd(ux, uy)
         su_dir = (ux // g, uy // g)  # primitive(sigma * u)
-        live = _live_runs(vecs, counts, takes, (w0, w1), (ux, uy), su_dir)
-        if True not in live:
-            return ()  # no run leaves a tail that admits a block
-        block = ()
-        for v, t in zip(vecs, takes):
-            if t:
-                block += (v,) * t
-        if n > 1:
-            closed = tuple(sorted(block + ((ux, uy),)))
-            packed = values.get(closed)
-            if packed is not None and not packed[2]:
-                return ()  # a known vanishing block
+        least = next(compress(vecs, takes))
+        block = None  # built at the first run whose tail is kept
         tails = []  # (r, fam * tail), for the tails that do not vanish
         fam = 1
         left = counts
-        for r, ok in enumerate(live, 1):
+        for r in range(1, min([c // t for c, t in zip(counts, takes) if t]) + 1):
             fam = fam * prod(map(comb, left, takes)) // r
             left = list(map(sub, left, takes))
-            if not ok:
-                continue
             rest = tuple(compress(zip(vecs, left), left))
             w_next = (w0 + r * ux, w1 + r * uy)
+            if rest and not _admits_block(rest, w_next, su_dir, least):
+                continue  # no next block can pass: the tail sums to zero
+            if block is None:
+                block = ()
+                for v, t in zip(vecs, takes):
+                    if t:
+                        block += (v,) * t
+                if n > 1:
+                    closed = tuple(sorted(block + ((ux, uy),)))
+                    packed = values.get(closed)
+                    if packed is not None and not packed[2]:
+                        return ()  # a known vanishing block
             if rest:
                 xn, xh, xe = suffix_sum(rest, w_next, vm, su_dir, block)
                 if xe:  # a vanishing tail's hi means nothing

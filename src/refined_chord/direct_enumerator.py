@@ -227,14 +227,17 @@ def _packed_count(vectors, mu: Sequence[int], bits: int) -> Packed:
 def check_oracle_size(d: Degree, max_ends: int = ORACLE_END_GUARD) -> None:
     """Raise :class:`TooLarge` when ``d`` has more than ``max_ends`` ends, or
     when ``2**(m-1)`` times its pair sum exceeds the budget
-    ``2**(max_ends-1) * ORACLE_PAIR_GUARD``; raising ``max_ends`` raises both."""
+    ``2**(max_ends-1) * ORACLE_PAIR_GUARD``; raising ``max_ends`` raises both.
+    It tests ``pairs > ORACLE_PAIR_GUARD << (max_ends - m)``, skipping the
+    shift once it is too wide to refuse, so a huge ``max_ends`` costs nothing."""
     m = d.m
     if m > max_ends:
         raise TooLarge(f"degree has {m} ends, guard is {max_ends}")
     pairs = sum(
         abs(xi * yj - yi * xj) for (xi, yi), (xj, yj) in combinations(d.vectors, 2)
     )
-    if pairs << (m - 1) > ORACLE_PAIR_GUARD << (max_ends - 1):
+    shift = max_ends - m
+    if shift < pairs.bit_length() and pairs > ORACLE_PAIR_GUARD << shift:
         raise TooLarge(
             f"degree has {m} ends and pair sum {pairs}: 2**{m - 1} * {pairs} exceeds "
             f"the guard 2**{max_ends - 1} * {ORACLE_PAIR_GUARD}"

@@ -6,10 +6,10 @@
 For each degree, solved once with a fresh cache, it prints the records
 streamed (calls of ``_sub_multisets``), the sigma passers they hold (its
 items), the chords solved (calls of ``_default_ends``, once per chord,
-the top level included) and the tails refused (the False entries that
-``_live_runs`` returns, tails skipped unvisited), then the totals. The
+the top level included) and the tails refused (the False returns of
+``_admits_block``, tails skipped unvisited), then the totals. The
 counts are deterministic. They depend on which chord ends
-``_default_ends`` picks and on what ``_live_runs`` refuses, never the
+``_default_ends`` picks and on what ``_admits_block`` refuses, never the
 values, so with the rule fixed they are the measure to compare end-choice
 keys on.
 The file name keeps it out of pytest's collection;
@@ -61,7 +61,7 @@ def work(spec):
     solve of ``spec``."""
     real_stream = chord_recursion._sub_multisets
     real_ends = chord_recursion._default_ends
-    real_live = chord_recursion._live_runs
+    real_admits = chord_recursion._admits_block
     counts = [0, 0, 0, 0]
 
     def stream(key):
@@ -74,20 +74,20 @@ def work(spec):
         counts[2] += 1
         return real_ends(*args, **kwargs)
 
-    def live(*args):
-        runs = real_live(*args)
-        counts[3] += runs.count(False)
-        return runs
+    def admits(*args):
+        ok = real_admits(*args)
+        counts[3] += not ok
+        return ok
 
     chord_recursion._sub_multisets = stream
     chord_recursion._default_ends = ends
-    chord_recursion._live_runs = live
+    chord_recursion._admits_block = admits
     try:
         refined_invariant(parse_degree(spec), cache={})
     finally:
         chord_recursion._sub_multisets = real_stream
         chord_recursion._default_ends = real_ends
-        chord_recursion._live_runs = real_live
+        chord_recursion._admits_block = real_admits
     return tuple(counts)
 
 

@@ -835,6 +835,13 @@ def test_oracle_command(capsys):
     assert "guard" in capsys.readouterr().err
 
 
+def test_oracle_command_takes_a_huge_max_ends(capsys):
+    # the guard never shifts by max_ends itself, so 10**30 neither overflows
+    # nor allocates a number of that many bits
+    assert main(["oracle", "P2:1", "--max-ends", str(10**30)]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+
+
 def test_compute_cache_path_is_a_directory_exits_2(tmp_path, capsys):
     assert main(["compute", "P2:3", "--cache-path", str(tmp_path)]) == 2
     err = capsys.readouterr().err

@@ -19,6 +19,7 @@ from refined_chord import (
 from refined_chord import refined_poly
 from refined_chord.cli import parse_degree
 from refined_chord.direct_enumerator import (
+    ORACLE_PAIR_GUARD,
     _DegenerateConfiguration,
     _subset_count,
     check_oracle_size,
@@ -195,6 +196,29 @@ def test_oracle_guard_on_pair_sum():
     check_oracle_size(big, max_ends=15)
     check_oracle_size(cp2_degree(5, [1] * 5), max_ends=15)
     check_oracle_size(cp2_degree(6, [2, 2, 1, 1]), max_ends=16)
+
+
+def test_oracle_guard_agrees_with_the_budget_formula():
+    # the guard tests pairs > ORACLE_PAIR_GUARD << (max_ends - m) and skips
+    # the shift when it exceeds pairs; it refuses exactly what
+    # 2**(m-1) * pairs > 2**(max_ends-1) * ORACLE_PAIR_GUARD refuses. CORPUS
+    # reaches only the end clause, the 12-end degree the pair-sum clause too
+    big = make_degree([(-9, 2), (2, -9), (7, 7)] * 4)
+    degrees = CORPUS + [("big", big)]
+    by_pairs = 0
+    for name, d in degrees:
+        m = d.m
+        pairs = sum(abs(omega(a, b)) for a, b in itertools.combinations(d.vectors, 2))
+        for max_ends in range(1, 41):
+            budget = pairs << (m - 1) > ORACLE_PAIR_GUARD << (max_ends - 1)
+            try:
+                check_oracle_size(d, max_ends)
+                refused = False
+            except TooLarge as e:
+                refused = True
+                by_pairs += "pair sum" in str(e)
+            assert refused == (m > max_ends or budget), (name, max_ends)
+    assert by_pairs == 3  # big at max_ends 12, 13 and 14
 
 
 # moments landing all ends on one point force a zero-length edge in a valid
