@@ -35,6 +35,7 @@ and in every sub-degree; the test suite checks this rather than assuming it.
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
 from itertools import compress
 from math import comb, gcd, prod
@@ -203,6 +204,15 @@ def refined_invariant(
     A cached value, of a sub-degree or of ``d`` itself, must be
     nonnegative, palindromic and of uniform parity, as every computed value
     is; any other raises ``ValueError`` naming its key.
+
+    A solve pauses CPython's cyclic collector: its records hold many
+    container objects until it returns, which the collector would rescan
+    while it can find nothing, since the recursion makes no reference
+    cycles (see :func:`_chord_sum`). The collector is re-enabled on exit,
+    normal or not, only if it was enabled on entry. That has one global
+    effect: if another thread calls ``gc.disable()`` during a call that saw
+    the collector enabled, the call re-enables it on exit. A cache hit and a
+    2-end degree return without pausing it.
     """
     cache = {} if cache is None else cache
     if d.m == 2:
@@ -218,9 +228,15 @@ def refined_invariant(
             return hit
     if v1 is None or vm is None:
         v1, vm = _default_ends(d.vectors, v1, vm)
-    value = _widening(
-        lambda bits: _chord_sum(d.vectors, v1, vm, cache, {}, {}, bits)
-    )
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        value = _widening(
+            lambda bits: _chord_sum(d.vectors, v1, vm, cache, {}, {}, bits)
+        )
+    finally:
+        if collecting:
+            gc.enable()
     if key is not None:
         cache[key] = value
     return value
@@ -257,7 +273,8 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
     changes no value. ``solve``, ``suffix_sum`` and ``block_summand``
     refer to each other through their closure cells; deleting them on exit
     breaks that cycle once, so reference counting frees the memo as soon as
-    the call returns. The memo is never stored in ``cache``.
+    the call returns, with no help from the cyclic collector, which
+    :func:`refined_invariant` pauses. The memo is never stored in ``cache``.
 
     Values are packed as ``(n, hi, e1)``, one int of coefficient slots with
     the highest half-exponent and the exact value at q = 1 (see

@@ -454,17 +454,91 @@ def test_memoization_transparency():
         assert refined_invariant(d) == fresh, name
 
 
-def test_recursion_leaves_no_cyclic_garbage():
-    # the suffix memo is freed by reference counting when the call returns
-    d = cp2_degree(5, [1] * 5)
-    refined_invariant(d, cache={})
+def _slot_widths(monkeypatch):
+    """The slot widths of the solves made after this call, one per attempt."""
+    widths, real = [], chord_recursion._chord_sum
+
+    def attempt(*args):
+        widths.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(chord_recursion, "_chord_sum", attempt)
+    return widths
+
+
+def test_recursion_leaves_no_cyclic_garbage(monkeypatch):
+    # the suffix memo is freed by reference counting when the call returns:
+    # cold, with a shared cache already warm (P2:6 after P2:5) and after a
+    # retry at wider slots. refined_invariant pauses the collector on this
+    p5, p6 = cp2_degree(5, [1] * 5), cp2_degree(6, [1] * 6)
+    refined_invariant(p5, cache={})
+    was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        refined_invariant(d, cache={})
+        refined_invariant(p5, cache={})
+        assert gc.collect() == 0
+        shared = {}
+        refined_invariant(p5, cache=shared)
+        refined_invariant(p6, cache=shared)
+        assert gc.collect() == 0
+        monkeypatch.setattr(refined_poly, "_SLOT_BITS", 2)
+        widths = _slot_widths(monkeypatch)
+        refined_invariant(p5, cache={})
+        assert len(widths) > 1
         assert gc.collect() == 0
     finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_solve_leaves_the_collector_as_it_found_it(monkeypatch):
+    # refined_invariant pauses the collector for a solve and re-enables it on
+    # every exit only if it was enabled on entry
+    d = cp2_degree(4, [1] * 4)
+    top = canonical_key(d)
+    cache = {}
+    refined_invariant(d, cache=cache)
+    # a sub-degree entry that the packed form cannot hold
+    planted = {key: P({2: 1, 0: -1, -2: 1}) for key in cache if key != top}
+    was_enabled = gc.isenabled()
+    try:
         gc.enable()
+        refined_invariant(d, cache={})
+        assert gc.isenabled()
+        with pytest.raises(VectorNotInDegree):
+            refined_invariant(d, v1=(5, 5), vm=(1, 1), cache={})
+        assert gc.isenabled()
+        with pytest.raises(ValueError, match="not nonnegative"):
+            refined_invariant(d, cache=planted)
+        assert gc.isenabled()
+        monkeypatch.setattr(refined_poly, "_SLOT_BITS", 2)
+        widths = _slot_widths(monkeypatch)
+        refined_invariant(d, cache={})
+        assert len(widths) > 1  # a _SlotOverflow retry
+        assert gc.isenabled()
+        gc.disable()
+        refined_invariant(d, cache={})
+        assert not gc.isenabled()
+    finally:
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+def test_cold_solve_runs_no_collection():
+    # the mechanism of the pause, as a work count: a cold P2:6 made 12-16
+    # gen-0 and 1-2 gen-1 collections with the collector on. collect() first,
+    # so the few allocations before the pause cannot reach the threshold;
+    # get_stats() reads its totals before it allocates its result
+    d = parse_degree("P2:6")
+    assert gc.isenabled()
+    gc.collect()
+    before = gc.get_stats()
+    refined_invariant(d, cache={})
+    after = gc.get_stats()
+    assert [s["collections"] for s in after] == [s["collections"] for s in before]
 
 
 def test_suffix_memo_guard_changes_no_value(monkeypatch):
