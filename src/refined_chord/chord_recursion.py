@@ -291,10 +291,8 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
     run. A block that vanishes, or that no tail can follow, stores ``()``;
     the tails are summed first, so a closed block is solved only when some
     tail survives. The pool never holds the chord's two ends, so a closed
-    block has at most ``m - 1`` ends. It is looked up in ``values`` under
-    its sorted vectors at the first run whose tail is kept, before that
-    tail is visited, and a block known to vanish returns at once; on a
-    miss, and only when a tail survives, ``cache`` is asked under its
+    block has at most ``m - 1`` ends. After its tails it is looked up in
+    ``values`` under its sorted vectors, then in ``cache`` under its
     :func:`_class_form`'s string, since N(A * D) = N(D) for A in GL2(Z).
     Only when both miss is the block solved, in its own coordinates, and
     ``cache`` written once per class. ``values`` is never cleared and keeps
@@ -317,12 +315,10 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
     cross is 0, and since none exceeds the run block's least end, the tie
     rule leaves only copies of that end: an edge end of count 2 or more.
     A run with no passing singleton, no such pair and no such end is
-    skipped unvisited; a run that empties the pool is not asked. The block
-    is built at the first run kept, so a passer with no kept run stores
-    ``()`` having built nothing. The test is necessary, not sufficient: it
-    ignores the counts that a block of several ends needs, the tie rule
-    for such a block and the tails after it, so a kept tail can still sum
-    to zero.
+    skipped unvisited; a run that empties the pool is not asked. The test
+    is necessary, not sufficient: it ignores the counts that a block of
+    several ends needs, the tie rule for such a block and the tails after
+    it, so a kept tail can still sum to zero.
 
     The weight of a run of ``r`` identical blocks, taking ``t_v`` of each
     vector ``v`` from a pool of ``c_v``, is ``fam_r = fam_(r-1) * X_r / r``
@@ -395,8 +391,11 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
         # follow is never solved
         g = gcd(ux, uy) if sigma > 0 else -gcd(ux, uy)
         su_dir = (ux // g, uy // g)  # primitive(sigma * u)
-        least = next(compress(vecs, takes))
-        block = None  # built at the first run whose tail is kept
+        block = ()
+        for v, t in zip(vecs, takes):
+            if t:
+                block += (v,) * t
+        least = block[0]
         tails = []  # (r, fam * tail), for the tails that do not vanish
         fam = 1
         left = counts
@@ -405,29 +404,19 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
             left = list(map(sub, left, takes))
             rest = tuple(compress(zip(vecs, left), left))
             w_next = (w0 + r * ux, w1 + r * uy)
-            if rest and not _admits_block(rest, w_next, su_dir, least):
-                continue  # no next block can pass: the tail sums to zero
-            if block is None:
-                block = ()
-                for v, t in zip(vecs, takes):
-                    if t:
-                        block += (v,) * t
-                if n > 1:
-                    closed = tuple(sorted(block + ((ux, uy),)))
-                    packed = values.get(closed)
-                    if packed is not None and not packed[2]:
-                        return ()  # a known vanishing block
-            if rest:
+            if not rest:
+                assert w_next == vm
+                tails.append((r, fam, 0, fam))
+            elif _admits_block(rest, w_next, su_dir, least):
                 xn, xh, xe = suffix_sum(rest, w_next, vm, su_dir, block)
                 if xe:  # a vanishing tail's hi means nothing
                     tails.append((r, fam * xn, xh, fam * xe))
-            else:
-                assert w_next == vm
-                tails.append((r, fam, 0, fam))
         if not tails:
             return ()
         fn, fh, fe = _packed_q_analog(abs(sigma), bits)
         if n > 1:
+            closed = tuple(sorted(block + ((ux, uy),)))
+            packed = values.get(closed)
             if packed is None:
                 class_key = vectors_key(_class_form(closed))
                 hit = cache.get(class_key)

@@ -136,18 +136,16 @@ def _packed_count(vectors, mu: Sequence[int], bits: int) -> Packed:
     n = len(vectors) - 1
     size = 1 << n
     ux, uy, mom = [0] * size, [0] * size, [0] * size
-    for s in range(1, size):
-        low = s & -s
-        j = low.bit_length()  # end j, since end 0 is the root
-        ux[s] = ux[s ^ low] + vectors[j][0]
-        uy[s] = uy[s ^ low] + vectors[j][1]
-        mom[s] = mom[s ^ low] + mu[j]
     table = [None] * size
     weights = {}  # det -> packed [det]_q
     key_of, det_of = itemgetter(0), itemgetter(1)
     for s in range(1, size):
+        # s's sums first: s ^ low and every split side a, b are smaller masks
         low = s & -s
-        sx, sy = ux[s], uy[s]
+        j = low.bit_length()  # end j, since end 0 is the root
+        sx = ux[s] = ux[s ^ low] + vectors[j][0]
+        sy = uy[s] = uy[s ^ low] + vectors[j][1]
+        mom[s] = mom[s ^ low] + mu[j]
         if s == low or (sx == 0 and sy == 0):
             continue  # single ends contribute 1; a zero slope is never a child
         entries = []

@@ -28,20 +28,11 @@ sys.path.insert(0, HERE)
 
 from conftest import CORPUS  # noqa: E402
 from refined_chord import chord_recursion, refined_invariant  # noqa: E402
-from refined_chord.cli import parse_degree  # noqa: E402
+from refined_chord.cli import _partitions, parse_degree  # noqa: E402
 from refined_chord.lattice import vectors_key  # noqa: E402
 
 HEXAGON = "(1,0),(0,1),(-1,1),(-1,0),(0,-1),(1,-1)"
 SKEW = ("skew-triangle", "split-fan", "mixed-quad")
-
-
-def _partitions(n, largest=None):
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, largest or n), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
 
 
 def broad_corpus():

@@ -105,6 +105,8 @@ def test_parse_error_positions():
         ("P1xP1:2,+3", "expected an integer count, got '+3'", 8),
         ("P1xP1:12,0", "P1xP1 counts must be positive, got 12,0", 9),
         ("P1xP1:-1,2", "P1xP1 counts must be positive, got -1,2", 6),
+        # a field too many points at the macro itself
+        ("P2:1:1:1", "malformed P2 macro, expected P2:d or P2:d:l1,l2,...", 0),
     ],
 )
 def test_macro_field_grammar(spec, message, pos):
@@ -262,6 +264,13 @@ def test_compute_explicit_ends(capsys):
     assert capsys.readouterr().out.strip() == "q + 7 + q^-1"
 
 
+def test_compute_refuses_a_malformed_end_vector(capsys):
+    assert main(["compute", "P2:1", "--v1", "(1,x)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a vector '(x,y)', got '(1,x)'" in captured.err
+
+
 def test_compute_refuses_a_missing_end_of_a_two_end_degree(capsys):
     assert main(["compute", "(1,0),(-1,0)", "--v1", "(5,5)"]) == 2
     captured = capsys.readouterr()
@@ -370,6 +379,13 @@ def test_table_degree_three(capsys):
 def test_table_guard(capsys):
     assert main(["table", "--max-degree", "9"]) == 2
     assert "guard" in capsys.readouterr().err
+
+
+def test_table_refuses_max_degree_zero(capsys):
+    assert main(["table", "--max-degree", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "max degree must be at least 1" in captured.err
 
 
 def test_cache_round_trip(tmp_path):
@@ -604,6 +620,18 @@ def test_cache_loader_names_the_digit_limit(tmp_path):
         load_cache(str(path))
 
 
+def test_cache_loader_refuses_a_file_its_line_check_passes(tmp_path, monkeypatch):
+    # the bulk decode refuses the non-string key; with the per-line check
+    # made to pass every line, the loader still refuses the file as a whole
+    monkeypatch.setattr("refined_chord.cli._bad_entry", lambda entry: None)
+    path = tmp_path / "memo.jsonl"
+    path.write_text('{"version": 3}\n[5, 0, []]\n')
+    with pytest.raises(CacheFormatError) as info:
+        load_cache(str(path))
+    assert str(info.value).startswith(f"{path}: ")
+    assert "not a cache entry" not in str(info.value)
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED_CACHES))
 def test_compute_malformed_cache_exits_2(tmp_path, capsys, name):
     text, line = MALFORMED_CACHES[name]
@@ -646,32 +674,27 @@ def test_cache_float_version_is_refused(tmp_path, capsys, version):
     assert path.read_text() == text
 
 
-def test_cache_version_1_is_refused_as_deletable(tmp_path, capsys):
-    # no version-1 reader: the file is a memo, so the message says to delete it
+@pytest.mark.parametrize(
+    "version, text",
+    [
+        (1, '{"version": 1}\n{"key": "(-1,0);(0,-1);(1,1)", "poly": {"0": "1"}}\n'),
+        # version 2 keyed entries by vector multiset; version 3 keys them by
+        # GL2(Z) class, so a version-2 file is refused as version 1 is
+        (2, GOLDEN_CACHE.replace('{"version": 3}', '{"version": 2}')),
+    ],
+    ids=["1", "2"],
+)
+def test_old_cache_version_is_refused_as_deletable(tmp_path, capsys, version, text):
+    # no reader for an older version: the file is a memo, so the message
+    # says to delete it
     path = tmp_path / "memo.jsonl"
-    text = '{"version": 1}\n{"key": "(-1,0);(0,-1);(1,1)", "poly": {"0": "1"}}\n'
     path.write_text(text)
-    with pytest.raises(CacheVersionError, match="older release.*can be deleted"):
+    with pytest.raises(CacheVersionError, match=f"version {version} .*older release.*can be deleted"):
         load_cache(str(path))
     assert main(["compute", "P2:3", "--cache-path", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {path}: cache version 1 ")
-    assert path.read_text() == text
-
-
-def test_cache_version_2_is_refused_as_deletable(tmp_path, capsys):
-    # version 2 keyed entries by vector multiset; version 3 keys them by
-    # GL2(Z) class, so a version-2 file is refused as version 1 is
-    path = tmp_path / "memo.jsonl"
-    text = GOLDEN_CACHE.replace('{"version": 3}', '{"version": 2}')
-    path.write_text(text)
-    with pytest.raises(CacheVersionError, match="version 2 .*older release.*can be deleted"):
-        load_cache(str(path))
-    assert main(["compute", "P2:3", "--cache-path", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: {path}: cache version 2 ")
+    assert captured.err.startswith(f"error: {path}: cache version {version} ")
     assert path.read_text() == text
 
 
