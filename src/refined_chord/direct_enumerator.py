@@ -41,14 +41,14 @@ from .refined_poly import Packed, RefinedPolynomial, _packed_q_analog, _SlotOver
 # the polynomial degree of the weights, which the pair sum P = sum over pairs of
 # ends of |omega(v_i, v_j)| bounds. A degree is refused when it has more than
 # max_ends ends, or when 2**(m-1) * P exceeds 2**(max_ends-1) * ORACLE_PAIR_GUARD,
-# so at m = max_ends P may reach ORACLE_PAIR_GUARD (P2:d has P = 3 d**2). Times
-# from one run each on a loaded 2-vCPU VM (a quiet one takes about half): P2:5
-# (15 ends, P = 75) 4.0 s at 57 MB and ((-9,2),(2,-9),(7,7))*4 (12 ends,
-# P = 3696) 8.1 s at 92 MB. At the default guard the budget is 4.2 M:
-# ((-6,1),(1,-6),(5,5))*4 (3.4 M, 0.8 s) and P2:6:3,3 (0.9 M, 1.6 s) run, while
-# ((-7,1),(1,-7),(6,6))*4 (4.7 M, 5.2 s), ((-8,1),(1,-8),(7,7))*4 (6.2 M,
-# 9.2 s) and the 12-end degree above (7.6 M) are refused. The estimate is
-# coarse: ((-7,2),(2,-7),(5,5))*4 (4.4 M) takes only 1.2 s and is refused too.
+# so at m = max_ends P may reach ORACLE_PAIR_GUARD (P2:d has P = 3 d**2). CPU
+# times, one fresh process each, on a 2-vCPU Xeon VM whose speed swings up to
+# twofold: P2:5 (15 ends, P = 75) 1.8-1.9 s at 57 MB, ((-9,2),(2,-9),(7,7))*4
+# (12 ends, P = 3696) 4.5 s at 91 MB. At the default guard the budget is 4.2 M:
+# ((-6,1),(1,-6),(5,5))*4 (3.4 M, 0.4 s) and P2:6:3,3 (0.9 M, 0.8 s) run, while
+# ((-7,1),(1,-7),(6,6))*4 (4.7 M, 2.8 s), ((-8,1),(1,-8),(7,7))*4 (6.2 M,
+# 3.8-5.3 s) and the 12-end degree above (7.6 M) are refused. The estimate is
+# coarse: ((-7,2),(2,-7),(5,5))*4 (4.4 M) takes only 0.7-0.9 s, refused too.
 ORACLE_END_GUARD = 14
 ORACLE_PAIR_GUARD = 512
 
@@ -123,6 +123,16 @@ def _packed_count(vectors, mu: Sequence[int], bits: int) -> Packed:
     ``[det]_q``, kept per call by ``det``. A subset whose ``det`` are all 1
     keeps its positions as keys without rescaling.
 
+    A row is ``(keys, tails, scale, last)``, ``last`` its largest key. A
+    subset with one curve, the most common case, stores its key ``num``,
+    scale ``det`` and tail as they are, after the slot-width check; a subset
+    with none stores no row and ends every split it is a child of. A child's
+    test compares ``p = (u . C) * scale`` with ``last * det`` first: above,
+    the split ends; equal, side ``a`` raises; only below are the floor and the
+    bisect taken. These are the cases in which the bisect lands past the last
+    key, so every draw returns the same value or raises the same error at the
+    same split. Only two nonzero slopes are tested for coincident lines.
+
     A root of ``a`` on the vertex ``C`` raises. A root of ``b = b1 | b2`` on
     ``C`` needs no check, since an earlier split of ``s`` has already
     raised: the lines of ``a``, ``b1`` and ``b2`` all pass through ``C``, so
@@ -145,7 +155,7 @@ def _packed_count(vectors, mu: Sequence[int], bits: int) -> Packed:
         j = low.bit_length()  # end j, since end 0 is the root
         sx = ux[s] = ux[s ^ low] + vectors[j][0]
         sy = uy[s] = uy[s ^ low] + vectors[j][1]
-        mom[s] = mom[s ^ low] + mu[j]
+        ms = mom[s] = mom[s ^ low] + mu[j]
         if s == low or (sx == 0 and sy == 0):
             continue  # single ends contribute 1; a zero slope is never a child
         entries = []
@@ -156,13 +166,12 @@ def _packed_count(vectors, mu: Sequence[int], bits: int) -> Packed:
             a = low | sub
             ax, ay = ux[a], uy[a]
             bx, by = sx - ax, sy - ay
-            if (ax == 0 and ay == 0) or (bx == 0 and by == 0):
-                continue
             b = s ^ a
-            ma, mb = mom[a], mom[b]
-            det = ax * by - ay * bx  # omega(u_a, u_b)
+            ma = mom[a]
+            mb = ms - ma
+            det = ax * by - ay * bx  # omega(u_a, u_b); 0 also for a zero slope
             if det == 0:
-                if ma * bx == mb * ax and ma * by == mb * ay:
+                if ma * bx == mb * ax and ma * by == mb * ay and (ax or ay) and (bx or by):
                     raise _DegenerateConfiguration(f"coincident lines at split {a}|{b}")
                 continue
             # C = (ma * u_b - mb * u_a) / det solves omega(u_a, C) = ma, omega(u_b, C) = mb
@@ -170,23 +179,32 @@ def _packed_count(vectors, mu: Sequence[int], bits: int) -> Packed:
             if det < 0:
                 det, cx, cy = -det, -cx, -cy
             if a & (a - 1):
-                keys, tails, scale = table[a]
-                at, rem = divmod((ax * cx + ay * cy) * scale, det)
+                row = table[a]
+                if row is None:
+                    continue
+                keys, tails, scale, last = row
+                p = (ax * cx + ay * cy) * scale
+                if p >= last * det:
+                    if p == last * det:
+                        raise _DegenerateConfiguration(f"zero-length edge to {a} at split {a}|{b}")
+                    continue
+                at, rem = divmod(p, det)
                 i = bisect_right(keys, at)
                 if not rem and i and keys[i - 1] == at:
                     raise _DegenerateConfiguration(f"zero-length edge to {a} at split {a}|{b}")
-                if i == len(keys):
-                    continue
                 wn, wh, we = tails[i]
             else:
                 wn = we = 1
                 wh = 0
             if b & (b - 1):
-                keys, tails, scale = table[b]
-                i = bisect_right(keys, (bx * cx + by * cy) * scale // det)
-                if i == len(keys):
+                row = table[b]
+                if row is None:
                     continue
-                tn, th, te = tails[i]
+                keys, tails, scale, last = row
+                p = (bx * cx + by * cy) * scale
+                if p >= last * det:
+                    continue
+                tn, th, te = tails[bisect_right(keys, p // det)]
                 wn *= tn
                 wh += th
                 we *= te
@@ -196,6 +214,13 @@ def _packed_count(vectors, mu: Sequence[int], bits: int) -> Packed:
             entries.append(
                 (sx * cx + sy * cy, det, wn * weight[0], wh + weight[1], we * weight[2])
             )
+        if len(entries) < 2:
+            if entries:
+                num, det, wn, wh, we = entries[0]
+                if we >> bits:
+                    raise _SlotOverflow
+                table[s] = ([num], [(wn, wh, we)], det, num)
+            continue
         scale = math.lcm(*map(det_of, entries))
         if scale != 1:
             entries = [(num * (scale // det), det, wn, wh, we) for num, det, wn, wh, we in entries]
@@ -217,9 +242,10 @@ def _packed_count(vectors, mu: Sequence[int], bits: int) -> Packed:
         if e1 >> bits:
             raise _SlotOverflow
         tails.reverse()
-        table[s] = (list(map(key_of, entries)), tails, scale)
-    tails = table[size - 1][1]
-    return tails[0] if tails else (0, 0, 0)
+        keys = list(map(key_of, entries))
+        table[s] = (keys, tails, scale, keys[-1])
+    row = table[size - 1]
+    return row[1][0] if row else (0, 0, 0)
 
 
 def check_oracle_size(d: Degree, max_ends: int = ORACLE_END_GUARD) -> None:

@@ -21,12 +21,13 @@ from refined_chord.cli import parse_degree
 from refined_chord.direct_enumerator import (
     ORACLE_PAIR_GUARD,
     _DegenerateConfiguration,
+    _packed_count,
     _subset_count,
     check_oracle_size,
     sample_generic_moments,
 )
-from refined_chord.lattice import omega
-from refined_chord.refined_poly import q_analog
+from refined_chord.lattice import _normal_form, omega
+from refined_chord.refined_poly import _SlotOverflow, q_analog
 from conftest import CORPUS
 from tree_reference import (
     CombinatorialTree,
@@ -278,6 +279,44 @@ def test_zero_length_edge_rejected_then_redrawn(monkeypatch):
     monkeypatch.setattr(de, "sample_generic_moments", adversarial)
     assert de.oracle_invariant(d, seed=0) == refined_invariant(d, cache={})
     assert len(calls) >= 2  # the zero-length draw was rejected, the next seed used
+
+
+@pytest.mark.parametrize(
+    "spec,r,counts",
+    [
+        ("hexagon", 2, (287, 602, 2236)),
+        ("P2:2", 2, (272, 1263, 1590)),
+        ("P2:3:2,1", 1, (0, 1206, 981)),
+        ("P1xP1:2,2", 1, (0, 999, 1188)),
+        ("P1xP1:1,3", 1, (0, 1083, 1104)),
+    ],
+)
+def test_draws_that_raise_are_pinned(spec, r, counts):
+    # every zero-sum draw with its first m - 1 moments in [-r, r], counted as
+    # generic, coincident lines or zero-length edge. The DP's early exits and
+    # its order of splits decide which check a degenerate draw meets first, so
+    # a faster DP must keep these counts, and each generic draw is exact
+    d = dict(CORPUS).get(spec) or parse_degree(spec)
+    value = refined_invariant(d, cache={})
+    kinds = {"generic": 0, "coincident lines": 0, "zero-length edge": 0}
+    for head in itertools.product(range(-r, r + 1), repeat=d.m - 1):
+        mu = head + (-sum(head),)
+        try:
+            assert _subset_count(d.vectors, mu) == value, mu
+        except _DegenerateConfiguration as exc:
+            kinds[re.match(r"coincident lines|zero-length edge", str(exc)).group()] += 1
+        else:
+            kinds["generic"] += 1
+    assert tuple(kinds.values()) == counts
+
+
+@pytest.mark.parametrize("bits", [2, 3])
+def test_one_entry_subset_checks_the_slot_width(bits):
+    # a subset holding one curve checks its value at q = 1 against the slot
+    # width like any other; here narrow slots overflow first at such a subset
+    d = make_degree([(-6, -10), (1, 5), (2, 3), (3, 2)])
+    with pytest.raises(_SlotOverflow):
+        _packed_count(d.vectors, sample_generic_moments(d, 0), bits)
 
 
 def test_genericity_failure_after_redraw_bound(monkeypatch):
@@ -532,3 +571,25 @@ def test_oracle_agrees_with_recursion_on_random_degrees(vecs, seed, data):
     assert oracle_invariant(d, seed=seed) == value
     i, j = data.draw(st.lists(st.integers(0, d.m - 1), min_size=2, max_size=2, unique=True))
     assert refined_invariant(d, v1=d.vectors[i], vm=d.vectors[j], cache={}) == value
+
+
+def test_every_class_in_a_small_box_by_both_engines():
+    # every zero-sum multiset of 3 to 6 nonzero vectors in [-2, 2]^2, listed
+    # once (its last vector closes the sum and is the largest), one per GL2(Z)
+    # class by _normal_form: 606 classes. canonical_key would give 652, since
+    # it leaves 3-end degrees unnormalized and so keeps 52 keys for 6 classes
+    box = [(x, y) for x in range(-2, 3) for y in range(-2, 3) if (x, y) != (0, 0)]
+    classes = {}
+    for k in range(2, 6):
+        for head in itertools.combinations_with_replacement(box, k):
+            last = (-sum(x for x, _ in head), -sum(y for _, y in head))
+            if last in box and last >= head[-1]:
+                classes.setdefault(_normal_form(head + (last,)), None)
+    assert len(classes) == 606
+    shared = {}
+    for vectors in classes:
+        d = make_degree(vectors)
+        value = refined_invariant(d, cache=shared)
+        assert oracle_invariant(d, seed=1) == value, vectors
+        parallel = all(omega(a, b) == 0 for a, b in itertools.combinations(vectors, 2))
+        assert value.is_zero() == parallel, vectors
