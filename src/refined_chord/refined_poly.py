@@ -22,9 +22,10 @@ from typing import Callable, Dict, Iterator, List, Mapping, Tuple
 class RefinedPolynomial:
     """Immutable sparse Laurent polynomial in ``q^(1/2)``.
 
-    Supports ``+``, ``-`` and ``*``, with polynomials and integers.
-    Instances are never mutated after construction, so they can be shared
-    and cached freely.
+    A value with no arithmetic: the engines compute on the packed form
+    below. It equals only another polynomial with the same terms, never an
+    int. Instances are never mutated after construction, so they can be
+    shared and cached freely.
     """
 
     __slots__ = ("_terms",)
@@ -37,19 +38,8 @@ class RefinedPolynomial:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "RefinedPolynomial":
-        return cls()
-
-    @classmethod
     def one(cls) -> "RefinedPolynomial":
         return cls({0: 1})
-
-    @classmethod
-    def _adopt(cls, terms: Dict[int, int]) -> "RefinedPolynomial":
-        """Wrap ``terms`` without copying: int keys, nonzero int values only."""
-        out = cls.__new__(cls)
-        out._terms = terms
-        return out
 
     # -- inspection -------------------------------------------------------
 
@@ -76,62 +66,10 @@ class RefinedPolynomial:
         """Sum of all coefficients, i.e. the value at q = 1."""
         return sum(self._terms.values())
 
-    # -- arithmetic -------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, RefinedPolynomial):
-            return other
-        if isinstance(other, int):
-            return RefinedPolynomial({0: other})
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms = dict(self._terms)
-        for k, c in other._terms.items():
-            s = terms.get(k, 0) + c
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
-        return RefinedPolynomial._adopt(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RefinedPolynomial._adopt({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        prod: Dict[int, int] = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
-                k = k1 + k2
-                s = prod.get(k, 0) + c1 * c2
-                if s:
-                    prod[k] = s
-                else:
-                    del prod[k]
-        return RefinedPolynomial._adopt(prod)
-
-    __rmul__ = __mul__
+    # -- comparison -------------------------------------------------------
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, RefinedPolynomial):
             return NotImplemented
         return self._terms == other._terms
 
@@ -232,17 +170,6 @@ def _power_text(half_exp: int):
         n = half_exp // 2
         return "q" if n == 1 else f"q^{n}"
     return f"q^({half_exp}/2)"
-
-
-def q_analog(a: int) -> RefinedPolynomial:
-    """The quantum integer ``[a]_q = (q^(a/2) - q^(-a/2)) / (q^(1/2) - q^(-1/2))``.
-
-    For positive ``a`` this is the a-term sum ``q^((a-1)/2) + ... + q^(-(a-1)/2)``;
-    ``[0]_q`` is zero and ``[-a]_q = -[a]_q``, matching the defining quotient.
-    """
-    if a < 0:
-        return -q_analog(-a)
-    return RefinedPolynomial({k: 1 for k in range(a - 1, -a, -2)})
 
 
 # -- packed values (Kronecker substitution) -------------------------------

@@ -1,0 +1,54 @@
+"""Every GL2(Z) class of degrees with ends in a box, and the laws each class
+was observed to satisfy. The tier-1 slice in ``test_direct_enumerator.py``
+and ``slow_class_sweep.py`` share them.
+"""
+
+import itertools
+import math
+
+from refined_chord.lattice import _normal_form, omega
+
+
+def box_classes(bound, max_ends):
+    """One vector tuple per GL2(Z) class, keyed by ``_normal_form``, of the
+    zero-sum multisets of 3 to ``max_ends`` nonzero vectors in
+    ``[-bound, bound]^2``. Each multiset is listed once: its last vector
+    closes the sum and is the largest. ``canonical_key`` would keep too many,
+    since it leaves 3-end degrees unnormalized."""
+    box = [(x, y) for x in range(-bound, bound + 1) for y in range(-bound, bound + 1)]
+    box.remove((0, 0))
+    inside = set(box)
+    classes = {}
+    for k in range(2, max_ends):
+        for head in itertools.combinations_with_replacement(box, k):
+            last = (-sum(x for x, _ in head), -sum(y for _, y in head))
+            if last in inside and last >= head[-1]:
+                classes.setdefault(_normal_form(head + (last,)), None)
+    return list(classes)
+
+
+def top_half_exponent(vectors):
+    """H(D) = 2A - m + 2, where 2A is twice the area of the polygon whose
+    edges are the ``m`` vectors of D in angular order."""
+    x = y = twice_area = 0
+    for vx, vy in sorted(vectors, key=lambda v: math.atan2(v[1], v[0])):
+        twice_area += x * vy - y * vx
+        x, y = x + vx, y + vy
+    return twice_area - len(vectors) + 2
+
+
+def law_break(vectors, value):
+    """How ``value``, the N(D) of ``vectors``, breaks the class laws, or None.
+
+    Both laws are observed on every class swept so far, not proven: N(D) is
+    0 exactly when all ends of D are parallel, and otherwise its top
+    half-exponent is H(D) (:func:`top_half_exponent`), with coefficient 1.
+    """
+    parallel = all(omega(a, b) == 0 for a, b in itertools.combinations(vectors, 2))
+    if parallel or value.is_zero():
+        return None if parallel == value.is_zero() else f"N(D) = {value}, all ends parallel: {parallel}"
+    top, h = value.support[0], top_half_exponent(vectors)
+    coefficient = dict(value.items())[top]
+    if (top, coefficient) != (h, 1):
+        return f"top term {coefficient}*q^({top}/2), H(D) = {h}"
+    return None

@@ -6,7 +6,8 @@
 Each mutant replaces one exact text of a file under ``src/refined_chord``.
 Its effect says what a test must notice: ``values`` if it can change a
 value or which moment draws raise, ``work`` if it changes only the work
-done, ``none`` if it is equivalent (its note says why). The script copies
+done, ``format`` if it changes only which cache files are read,
+``none`` if it is equivalent (its note says why). The script copies
 the repository to a temporary directory, runs tier-1 there once unmutated
 to find the tests that already fail, then once per mutant with ``-x`` and
 those tests deselected (and ``test_mutants.py``, which any mutant fails by
@@ -68,6 +69,110 @@ MUTANTS = [
         "    return True\n",
         "work",
         "no tail is skipped unvisited; values stay, so only its own tests and the work pins notice",
+    ),
+    (
+        "sigma-zero-passes",
+        "chord_recursion.py",
+        "if sigma and (sigma < 0 or n == 1):",
+        "if sigma < 0 or n == 1:",
+        "values",
+        "a single end parallel to the chord is a passer, with vertex weight [0]_q = 0",
+    ),
+    (
+        "sigma-positive-pairs",
+        "chord_recursion.py",
+        "(sigma < 0 or n == 1)",
+        "(sigma < 0 or n <= 2)",
+        "values",
+        "a block of two ends with sigma > 0 is a passer",
+    ),
+    (
+        "no-cross-rule",
+        "chord_recursion.py",
+        "if cross * sigma < 0:",
+        "if False:",
+        "values",
+        "a block that turns against the previous sigma * u is admitted",
+    ),
+    (
+        "fam-undivided",
+        "chord_recursion.py",
+        "prod(map(comb, left, takes)) // r",
+        "prod(map(comb, left, takes))",
+        "values",
+        "a run of r identical blocks is weighed as ordered, r! times too much",
+    ),
+    (
+        "recursion-overflow",
+        "chord_recursion.py",
+        "if e1 >> bits:\n            raise _SlotOverflow\n        return acc",
+        "if False:\n            raise _SlotOverflow\n        return acc",
+        "values",
+        "a state total whose slots carried is kept, with no retry at wider slots",
+    ),
+    (
+        "memo-unguarded",
+        "chord_recursion.py",
+        "if passers + len(record) > SUFFIX_MEMO_GUARD:",
+        "if False:",
+        "work",
+        "the memo is never cleared; values stay",
+    ),
+    (
+        "admits-no-tie-singleton",
+        "chord_recursion.py",
+        "if a * b > 0 or a and not b and v > least:",
+        "if a * b > 0:",
+        "values",
+        "a tail whose only next block is a single end on the tie axis is refused",
+    ),
+    (
+        "admits-no-edge-copies",
+        "chord_recursion.py",
+        "if not b and c > 1:",
+        "if False:",
+        "values",
+        "a tail whose only next block is copies of an edge end is refused",
+    ),
+    (
+        "admits-no-pair",
+        "chord_recursion.py",
+        "return pa * qb > pb * qa",
+        "return False",
+        "values",
+        "a tail whose only next blocks take ends from both sides of the cross axis is refused",
+    ),
+    (
+        "cached-any-length",
+        "refined_poly.py",
+        "len(coeffs) != hi + 1 or ",
+        "",
+        "values",
+        "a cached value whose coefficients do not reach -hi is packed as if they did",
+    ),
+    (
+        "cached-not-palindromic",
+        "refined_poly.py",
+        "coeffs != coeffs[::-1] or ",
+        "",
+        "values",
+        "a cached value that is not palindromic is packed as if it were",
+    ),
+    (
+        "cached-negative",
+        "refined_poly.py",
+        " or min(coeffs) < 0)",
+        ")",
+        "values",
+        "a cached value with a negative coefficient is packed, borrowing from the next slot",
+    ),
+    (
+        "decode-leading-zero",
+        "cli.py",
+        "        or 0 in map(itemgetter(0), nonempty)\n",
+        "",
+        "format",
+        "a cache line whose coefficients start with 0 is read instead of refused",
     ),
 ]
 

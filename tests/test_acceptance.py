@@ -28,6 +28,7 @@ from refined_chord.direct_enumerator import (
 )
 from refined_chord.lattice import omega
 from conftest import CORPUS, NON_CP2, NON_PRIMITIVE
+from ring import add, mul, q_analog
 from test_direct_enumerator import _vertex_positions
 from tree_reference import enumerate_trees, iter_solutions
 
@@ -222,15 +223,14 @@ def test_criterion_6_identity_suite(capsys):
         ):
             continue
         found += 1
-        lhs = bracket(omega(a2, a3)) * bracket(omega(a1, a23))
-        rhs = bracket(omega(a1, a2)) * bracket(omega(a12, a3)) + bracket(
-            omega(a1, a3)
-        ) * bracket(omega(a2, a13))
+        lhs = mul(bracket(omega(a2, a3)), bracket(omega(a1, a23)))
+        rhs = add(
+            mul(bracket(omega(a1, a2)), bracket(omega(a12, a3))),
+            mul(bracket(omega(a1, a3)), bracket(omega(a2, a13))),
+        )
         assert lhs == rhs, (a1, a2, a3)
-    from refined_chord.refined_poly import q_analog
-
     for a in range(1, 51):
-        assert q_analog(a) * s == P({a: 1, -a: -1})
+        assert mul(q_analog(a), s) == P({a: 1, -a: -1})
     _report(6, "wall-crossing and q-analog identities", True,
             f"{found} triples")
 

@@ -22,8 +22,8 @@ from refined_chord import chord_recursion, refined_poly
 from refined_chord.chord_recursion import _default_ends
 from refined_chord.cli import parse_degree
 from refined_chord.lattice import _normal_form, omega
-from refined_chord.refined_poly import q_analog
 from conftest import CORPUS, GL2_MOVES
+from ring import add, mul, q_analog
 from decomposition_reference import (
     DegenerateBlock,
     canonical_representative,
@@ -799,8 +799,8 @@ def test_packed_product_matches_operator(a, b):
     assert refined_poly._unpack(pa, bits) == a
     assert refined_poly._unpack(pb, bits) == b
     product = (pa[0] * pb[0], pa[1] + pb[1], pa[2] * pb[2])
-    assert product[2] == (a * b).evaluate_at_one()
-    assert refined_poly._unpack(product, bits) == a * b
+    assert product[2] == mul(a, b).evaluate_at_one()
+    assert refined_poly._unpack(product, bits) == mul(a, b)
 
 
 # mixed parity is also checked end to end in test_cli.py
@@ -813,6 +813,8 @@ def test_packed_product_matches_operator(a, b):
         refined_poly._Deferred(2, [1, -1, 1]),
         # a line the loader accepts; hi 4 with two coefficients is q^2 + q
         refined_poly._Deferred(4, [1, 1]),
+        # every coefficient from q^1 down to q^-1, so only the mirror test refuses it
+        P({2: 1, 0: 2, -2: 3}),
     ],
     ids=[
         "negative",
@@ -820,6 +822,7 @@ def test_packed_product_matches_operator(a, b):
         "mixed-parity",
         "deferred-negative",
         "deferred-not-palindromic",
+        "full-length-not-palindromic",
     ],
 )
 def test_pack_refuses_unpackable_value(value):
@@ -850,15 +853,15 @@ def test_explicit_chord_neither_reads_nor_writes_the_top_level_entry():
 def _decomposition_sum(d, v1, vm, cache):
     """The invariant rebuilt term by term from the reference stream of
     decompositions, which prunes no tail, with the chord ``(v1, vm)``."""
-    total = P.zero()
+    terms = []
     for dec in enumerate_decompositions(d, v1, vm):
-        term = P({0: dec.weight})
+        factors = [P({0: dec.weight})]
         for block, sig in zip(dec.blocks, dec.sigma):
-            term = term * q_analog(abs(sig))
+            factors.append(q_analog(abs(sig)))
             if len(block) > 1:
-                term = term * refined_invariant(sub_degree(block), cache=cache)
-        total = total + term
-    return total
+                factors.append(refined_invariant(sub_degree(block), cache=cache))
+        terms.append(mul(*factors))
+    return add(*terms)
 
 
 def test_generator_sum_matches_fast_engine():

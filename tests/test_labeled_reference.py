@@ -11,10 +11,8 @@ No multiplicity formula enters, so agreement checks the weighting logic.
 from refined_chord import cp2_degree, make_degree, refined_invariant
 from refined_chord.chord_recursion import _default_ends
 from decomposition_reference import _primitive
-from refined_chord.refined_poly import RefinedPolynomial, q_analog
 from conftest import CORPUS
-
-P = RefinedPolynomial
+from ring import add, mul, q_analog
 
 
 def labeled_chord_sum(d, v1, vm, cache):
@@ -40,7 +38,7 @@ def labeled_chord_sum(d, v1, vm, cache):
         if hit is not None:
             return hit
         w = (w1[0] - (totx - sx[rem]), w1[1] - (toty - sy[rem]))
-        total = P.zero()
+        terms = []
         sub = rem
         while sub:
             block, sub = sub, (sub - 1) & rem
@@ -63,19 +61,19 @@ def labeled_chord_sum(d, v1, vm, cache):
                 continue
             factor = q_analog(abs(sigma))
             if size > 1:
-                factor = factor * refined_invariant(
+                factor = mul(factor, refined_invariant(
                     make_degree(content + (u,)), cache=cache
-                )
+                ))
             rest = rem & ~block
             if rest == 0:
-                total = total + factor
+                terms.append(factor)
             else:
-                total = total + factor * go(
+                terms.append(mul(factor, go(
                     rest,
                     _primitive((sigma * u[0], sigma * u[1])),
                     (content, labels),
-                )
-        memo[state] = total
+                )))
+        total = memo[state] = add(*terms)
         return total
 
     return go(full, None, None)

@@ -1,8 +1,10 @@
 import importlib
+import operator
 
 import pytest
 
 import refined_chord
+from refined_chord.refined_poly import _Deferred, _dense
 
 PUBLIC = {
     "refined_invariant", "oracle_invariant", "make_degree", "cp2_degree",
@@ -43,3 +45,27 @@ def test_engine_modules_are_package_attributes():
         assert getattr(refined_chord, module) is importlib.import_module(
             f"refined_chord.{module}"
         )
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_polynomial_has_no_arithmetic(op):
+    # a value type: the engines compute on packed ints, the tests in tests/ring.py
+    p = refined_chord.RefinedPolynomial({1: 1, -1: 1})
+    for a, b in [(p, p), (p, 2), (2, p)]:
+        with pytest.raises(TypeError):
+            op(a, b)
+    with pytest.raises(TypeError):
+        -p
+
+
+def test_refined_poly_module_has_no_q_analog():
+    assert not hasattr(importlib.import_module("refined_chord.refined_poly"), "q_analog")
+
+
+def test_polynomial_equality_agrees_with_hashing():
+    P = refined_chord.RefinedPolynomial
+    assert P.one() != 1
+    eager = P({3: 1, 1: 5, -1: 5, -3: 1})
+    twin = _Deferred(*_dense("k", eager))
+    assert twin == eager and eager == twin and hash(twin) == hash(eager)
+    assert {twin: "x"}[eager] == "x"

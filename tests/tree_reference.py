@@ -22,7 +22,8 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from refined_chord.direct_enumerator import _DegenerateConfiguration
 from refined_chord.lattice import Degree, omega
-from refined_chord.refined_poly import RefinedPolynomial, q_analog
+from refined_chord.refined_poly import RefinedPolynomial
+from ring import mul, q_analog
 
 # Exact rational scalar used for solved positions and lengths. The stdlib
 # Fraction already stores a reduced numerator over a positive denominator.
@@ -250,12 +251,10 @@ def refined_multiplicity(tree: CombinatorialTree, d: Degree) -> RefinedPolynomia
     vectors = d.vectors
     data = _topology_data(tree)
     slopes = _edge_slopes(vectors, data.int_edges, data.mask)
-    out = RefinedPolynomial.one()
-    for mv in _vertex_multiplicities(tree, vectors, data, slopes):
-        if mv == 0:
-            raise FlatVertex("vertex with zero multiplicity")
-        out = out * q_analog(mv)
-    return out
+    mults = _vertex_multiplicities(tree, vectors, data, slopes)
+    if 0 in mults:
+        raise FlatVertex("vertex with zero multiplicity")
+    return mul(*map(q_analog, mults))
 
 
 def solve_type(tree: CombinatorialTree, d: Degree, mu: Sequence[int]) -> Optional[TypeSolution]:
