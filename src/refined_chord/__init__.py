@@ -22,7 +22,7 @@ from .refined_poly import RefinedPolynomial
 from .chord_recursion import VectorNotInDegree, refined_invariant
 from .direct_enumerator import GenericityFailure, TooLarge, oracle_invariant
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "BadPartition",

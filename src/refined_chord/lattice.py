@@ -66,9 +66,6 @@ class Degree:
         """Number of vectors, counted with multiplicity."""
         return len(self.vectors)
 
-    def __iter__(self):
-        return iter(self.vectors)
-
 
 def make_degree(vectors: Iterable[Vec]) -> Degree:
     """Validate and canonicalize a list of vectors into a :class:`Degree`.

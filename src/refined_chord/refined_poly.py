@@ -51,17 +51,6 @@ class RefinedPolynomial:
     def items(self) -> Iterator[Tuple[int, int]]:
         return iter(self._terms.items())
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_palindromic(self) -> bool:
-        """True iff the coefficients of ``q^(k/2)`` and ``q^(-k/2)`` agree for all k."""
-        return all(self._terms.get(-k) == c for k, c in self._terms.items())
-
-    def uniform_parity(self) -> bool:
-        """True iff all exponents are integers, or all are strict half-integers."""
-        return len({k & 1 for k in self._terms}) <= 1
-
     def evaluate_at_one(self) -> int:
         """Sum of all coefficients, i.e. the value at q = 1."""
         return sum(self._terms.values())

@@ -45,8 +45,8 @@ def law_break(vectors, value):
     half-exponent is H(D) (:func:`top_half_exponent`), with coefficient 1.
     """
     parallel = all(omega(a, b) == 0 for a, b in itertools.combinations(vectors, 2))
-    if parallel or value.is_zero():
-        return None if parallel == value.is_zero() else f"N(D) = {value}, all ends parallel: {parallel}"
+    if parallel or not value:
+        return None if parallel == (not value) else f"N(D) = {value}, all ends parallel: {parallel}"
     top, h = value.support[0], top_half_exponent(vectors)
     coefficient = dict(value.items())[top]
     if (top, coefficient) != (h, 1):

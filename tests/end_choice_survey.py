@@ -44,7 +44,7 @@ def broad_corpus():
     ]
     specs += [f"P1xP1:{a},{b}" for b in range(1, 6) for a in range(1, b + 1)]
     specs.append(HEXAGON)
-    return specs + [vectors_key(d).replace(";", ",") for name, d in CORPUS if name in SKEW]
+    return specs + [vectors_key(d.vectors).replace(";", ",") for name, d in CORPUS if name in SKEW]
 
 
 def work(spec):

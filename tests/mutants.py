@@ -13,7 +13,8 @@ to find the tests that already fail, then once per mutant with ``-x`` and
 those tests deselected (and ``test_mutants.py``, which any mutant fails by
 moving its own text), and prints each mutant as killed (with the first
 failing test) or survived, and the score. Every mutant costs at most one
-tier-1 run, about 25 s.
+tier-1 run, about 25 s. Exits 1 when a mutant survives whose effect is not
+``none``, so a weakening that no test notices fails the run.
 The file name keeps it out of pytest's collection;
 ``test_mutants.py`` checks that each text occurs exactly once in ``src``.
 """
@@ -174,6 +175,54 @@ MUTANTS = [
         "format",
         "a cache line whose coefficients start with 0 is read instead of refused",
     ),
+    (
+        "normal-form-greatest",
+        "lattice.py",
+        "if form is None or image < form:",
+        "if form is None or image > form:",
+        "format",
+        "the class form is the greatest candidate, as much a class invariant; only keys change",
+    ),
+    (
+        "normal-form-no-symmetry-exit",
+        "lattice.py",
+        "if image == done:",
+        "if False:",
+        "work",
+        "candidates that a symmetry maps onto earlier ones are compared again; the form stays",
+    ),
+    (
+        "q-analog-hi",
+        "refined_poly.py",
+        "a - 1, a\n",
+        "a, a\n",
+        "values",
+        "[a]_q is packed one half-exponent too high, q^(1/2) times its value",
+    ),
+    (
+        "coincident-lines-pass",
+        "direct_enumerator.py",
+        "if ma * bx == mb * ax and ma * by == mb * ay",
+        "if False and ma * bx == mb * ax and ma * by == mb * ay",
+        "values",
+        "a split whose two moment lines coincide is skipped instead of raised",
+    ),
+    (
+        "decode-repeated-key",
+        "cli.py",
+        "        or len(set(keys)) != len(keys)\n",
+        "",
+        "format",
+        "a cache file that holds a key twice is read, the last line winning, instead of refused",
+    ),
+    (
+        "dense-mixed-parity",
+        "refined_poly.py",
+        "if len({k & 1 for k in terms}) > 1:",
+        "if False:",
+        "values",
+        "a cached value of mixed parity loses the terms off hi's parity instead of being refused",
+    ),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
@@ -190,7 +239,7 @@ def _tier1(repo, *args, timeout=900):
     return run.returncode, re.findall(r"^FAILED (\S+)", run.stdout, re.M)
 
 
-def main(names):
+def main(names) -> int:
     chosen = [m for m in MUTANTS if not names or m[0] in names]
     if names and len(chosen) != len(set(names)):
         sys.exit(f"unknown mutant among {names}")
@@ -205,6 +254,7 @@ def main(names):
         deselect = ["--ignore=tests/test_mutants.py"]
         deselect += [arg for test in failing for arg in ("--deselect", test)]
         survivors = []
+        unexplained = 0  # survivors that should have changed values, work or format
         for name, file, text, replacement, effect, note in chosen:
             path = os.path.join(repo, "src", "refined_chord", file)
             with open(path) as f:
@@ -220,12 +270,14 @@ def main(names):
             elif code == 0:
                 verdict = "SURVIVED"
                 survivors.append(name)
+                unexplained += effect != "none"
             else:
                 verdict = f"killed by {failed[0] if failed else f'exit {code}'}"
             print(f"{name} [{effect}]: {verdict}  -- {note}", flush=True)
         killed = len(chosen) - len(survivors)
         print(f"score: {killed} of {len(chosen)} killed; survivors: {' '.join(survivors) or '-'}")
+    return 1 if unexplained else 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

@@ -27,6 +27,7 @@ from refined_chord.direct_enumerator import (
     sample_generic_moments,
 )
 from refined_chord.lattice import omega
+from refined_chord.refined_poly import _check_cached
 from conftest import CORPUS, NON_CP2, NON_PRIMITIVE
 from ring import add, mul, q_analog
 from test_direct_enumerator import _vertex_positions
@@ -184,12 +185,12 @@ def test_criterion_5_structural_properties(capsys):
     computed.append(refined_invariant(cp2_degree(5, [1] * 5), cache={}))
     bad = []
     for poly in computed:
-        if not poly.is_palindromic():
-            bad.append(("palindromic", poly))
+        try:
+            _check_cached("computed", poly)
+        except ValueError:
+            bad.append(("palindromic and parity", poly))
         if not all(isinstance(c, int) and c > 0 for _, c in poly.items()):
             bad.append(("positivity", poly))
-        if not poly.uniform_parity():
-            bad.append(("parity", poly))
     ok = not bad
     _report(5, "palindromicity, positivity, parity", ok,
             f"{len(computed)} invariants")

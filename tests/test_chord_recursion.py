@@ -7,7 +7,7 @@ from collections import Counter
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from refined_chord import (
     RefinedPolynomial,
@@ -790,6 +790,8 @@ def packable_polys(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(packable_polys(), packable_polys())
+@example(P(), P({3: 1, 1: 6, -1: 6, -3: 1}))
+@example(P({2: 1, 0: 7, -2: 1}), P())
 def test_packed_product_matches_operator(a, b):
     # the narrowest slots the q = 1 bound allows for a, b and their product
     ea, eb = a.evaluate_at_one(), b.evaluate_at_one()
@@ -809,7 +811,10 @@ def test_packed_product_matches_operator(a, b):
     [
         P({2: 1, 0: -1, -2: 1}),
         P({2: 1, 0: 3}),
+        P({1: 1}),
         P({1: 1, 0: 1}),
+        # q^(1/2) and q^(-1/2) pass the length and mirror tests; only _dense sees the q^0
+        P({1: 1, 0: 5, -1: 1}),
         refined_poly._Deferred(2, [1, -1, 1]),
         # a line the loader accepts; hi 4 with two coefficients is q^2 + q
         refined_poly._Deferred(4, [1, 1]),
@@ -819,7 +824,9 @@ def test_packed_product_matches_operator(a, b):
     ids=[
         "negative",
         "not-palindromic",
+        "half-integer-not-palindromic",
         "mixed-parity",
+        "full-length-mixed-parity",
         "deferred-negative",
         "deferred-not-palindromic",
         "full-length-not-palindromic",
@@ -904,8 +911,7 @@ def test_invariant_structure_on_random_degrees(vecs):
         return
     d = make_degree(vecs)
     value = refined_invariant(d, cache={})
-    assert value.is_palindromic()
-    assert value.uniform_parity()
+    refined_poly._check_cached("value", value)  # palindromic, one parity
     assert all(c > 0 for _, c in value.items())
 
 

@@ -587,12 +587,24 @@ def test_every_class_in_a_small_box_by_both_engines():
         value = refined_invariant(d, cache=shared)
         assert oracle_invariant(d, seed=1) == value, vectors
         assert law_break(vectors, value) is None, vectors
-        zero += value.is_zero()
+        zero += not value
     assert zero == 11
 
 
-def test_class_sweep_script_runs(capsys):
-    # the script's own run, at a box small enough for the suite
+def test_class_sweep_script_runs(capsys, monkeypatch):
+    # the script's own run, at a box small enough for the suite, with every
+    # class's value also recomputed with drawn chords
+    monkeypatch.setattr(slow_class_sweep, "CHORD_SHARE", 1)
     assert slow_class_sweep.main(["1", "5"]) == 0
     out = capsys.readouterr().out
-    assert "disagreements: none" in out and "5 ends:" in out
+    assert "disagreements: none" in out and "5 ends: 2 classes" in out
+    assert "4 ends: 4 classes, 3 nonzero, 0 refused, 12 chord checks" in out
+
+    # a chord that changed the value is a disagreement
+    def wrong_with_a_chord(d, v1=None, vm=None, cache=None):
+        value = refined_invariant(d, v1=v1, vm=vm, cache=cache)
+        return value if v1 is None else P()
+
+    monkeypatch.setattr(slow_class_sweep, "refined_invariant", wrong_with_a_chord)
+    assert slow_class_sweep.main(["1", "5"]) == 1
+    assert "smallest disagreement: ((-1, -1), (0, 1), (1, 0)): chord" in capsys.readouterr().out

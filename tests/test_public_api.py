@@ -69,3 +69,16 @@ def test_polynomial_equality_agrees_with_hashing():
     twin = _Deferred(*_dense("k", eager))
     assert twin == eager and eager == twin and hash(twin) == hash(eager)
     assert {twin: "x"}[eager] == "x"
+
+
+def test_polynomial_public_surface():
+    # zero is `not p`; palindrome, length and signs are _check_cached's, parity _dense's
+    public = {name for name in dir(refined_chord.RefinedPolynomial) if not name.startswith("_")}
+    assert public == {"one", "items", "support", "evaluate_at_one", "to_text", "to_json_dict"}
+
+
+def test_degree_is_not_iterable():
+    d = refined_chord.make_degree([(1, 0), (0, 1), (-1, -1)])
+    with pytest.raises(TypeError):
+        iter(d)
+    assert d.vectors == ((-1, -1), (0, 1), (1, 0)) and d.m == 3
