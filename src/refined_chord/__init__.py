@@ -7,13 +7,9 @@ subsets of end moments (:func:`oracle_invariant`) used to cross-validate it.
 """
 
 from .lattice import (
-    BadPartition,
     Degree,
     DegreeError,
-    NonZeroSum,
-    TooSmall,
     Vec,
-    ZeroVector,
     canonical_key,
     cp2_degree,
     make_degree,
@@ -22,20 +18,16 @@ from .refined_poly import RefinedPolynomial
 from .chord_recursion import VectorNotInDegree, refined_invariant
 from .direct_enumerator import GenericityFailure, TooLarge, oracle_invariant
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
-    "BadPartition",
     "Degree",
     "DegreeError",
     "GenericityFailure",
-    "NonZeroSum",
     "RefinedPolynomial",
     "TooLarge",
-    "TooSmall",
     "Vec",
     "VectorNotInDegree",
-    "ZeroVector",
     "canonical_key",
     "cp2_degree",
     "make_degree",

@@ -42,7 +42,7 @@ from math import comb, gcd, prod
 from operator import sub
 from typing import Dict, Optional, Tuple
 
-from .lattice import Degree, Vec, _class_form, canonical_key, omega, vectors_key
+from .lattice import Degree, Vec, _normal_form, canonical_key, omega, vectors_key
 from .refined_poly import (
     Packed,
     RefinedPolynomial,
@@ -293,7 +293,7 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
     tail survives. The pool never holds the chord's two ends, so a closed
     block has at most ``m - 1`` ends. After its tails it is looked up in
     ``values`` under its sorted vectors, then in ``cache`` under its
-    :func:`_class_form`'s string, since N(A * D) = N(D) for A in GL2(Z).
+    :func:`_normal_form`'s string, since N(A * D) = N(D) for A in GL2(Z).
     Only when both miss is the block solved, in its own coordinates, and
     ``cache`` written once per class. ``values`` is never cleared and keeps
     packed values; ``cache`` keeps unpacked polynomials.
@@ -418,7 +418,7 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
             closed = tuple(sorted(block + ((ux, uy),)))
             packed = values.get(closed)
             if packed is None:
-                class_key = vectors_key(_class_form(closed))
+                class_key = vectors_key(_normal_form(closed))
                 hit = cache.get(class_key)
                 if hit is None:
                     packed = solve(closed, *_default_ends(closed, parent_vm=vm))

@@ -47,7 +47,7 @@ from .lattice import Degree, Vec, cp2_degree, make_degree
 from .refined_poly import RefinedPolynomial, _Deferred, _dense
 
 CACHE_ENV = "REFINED_CHORD_CACHE"
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 TABLE_DEGREE_GUARD = 8
 # ends a degree spec may describe, checked before any vector list is built;
 # far above what compute can finish (P2:14 has 42)
@@ -213,7 +213,7 @@ def load_cache(path: str) -> Dict[str, RefinedPolynomial]:
             f"cannot be read (want {CACHE_VERSION}); the file only holds "
             "values that compute rebuilds, so it can be deleted"
         )
-    # 3.0 and 3e0 equal 3 in Python, but only a JSON integer is this format
+    # 4.0 and 4e0 equal 4 in Python, but only a JSON integer is this format
     if type(version) is not int or version != CACHE_VERSION:
         raise CacheVersionError(
             f"{path}: cache version {version!r} unsupported (want {CACHE_VERSION})"

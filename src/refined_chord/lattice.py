@@ -22,23 +22,7 @@ Vec = Tuple[int, int]
 
 
 class DegreeError(ValueError):
-    """A list of vectors does not form a valid degree."""
-
-
-class NonZeroSum(DegreeError):
-    """The vectors do not sum to (0, 0)."""
-
-
-class ZeroVector(DegreeError):
-    """A degree entry is the zero vector."""
-
-
-class TooSmall(DegreeError):
-    """Fewer than two vectors were supplied."""
-
-
-class BadPartition(ValueError):
-    """The parts are not a partition of the requested integer."""
+    """A list of vectors, or a plane degree and partition, is not a degree."""
 
 
 def omega(u: Vec, v: Vec) -> int:
@@ -70,36 +54,31 @@ class Degree:
 def make_degree(vectors: Iterable[Vec]) -> Degree:
     """Validate and canonicalize a list of vectors into a :class:`Degree`.
 
-    Raises :class:`TooSmall`, :class:`ZeroVector` or :class:`NonZeroSum`
-    when the input is not a degree, ``TypeError`` for a float or a string.
+    Raises :class:`DegreeError` when the input is not a degree,
+    ``TypeError`` for a float or a string.
     """
     vecs = tuple(sorted((index(x), index(y)) for x, y in vectors))
     sx, sy = sum(x for x, _ in vecs), sum(y for _, y in vecs)
     if (sx, sy) != (0, 0):
-        raise NonZeroSum(f"vectors sum to ({sx},{sy}), not (0,0)")
+        raise DegreeError(f"vectors sum to ({sx},{sy}), not (0,0)")
     if any(v == (0, 0) for v in vecs):
-        raise ZeroVector("degree entries must be nonzero vectors")
+        raise DegreeError("degree entries must be nonzero vectors")
     if len(vecs) < 2:
-        raise TooSmall(f"a degree needs at least 2 vectors, got {len(vecs)}")
+        raise DegreeError(f"a degree needs at least 2 vectors, got {len(vecs)}")
     return Degree(vecs)
 
 
 def canonical_key(d: Degree) -> str:
-    """Serialize the GL2(Z) class of a degree, e.g. ``"(-1,0);(0,-1);(1,1)"``:
-    the sorted vectors of its :func:`_class_form`. Stable across runs; equal
-    keys mean equal invariants. The persistent memo store's key."""
-    return vectors_key(_class_form(d.vectors))
+    """Serialize the GL2(Z) class of a degree, e.g. ``"(-1,-1);(0,1);(1,0)"``:
+    its :func:`_normal_form`. Stable across runs; degrees have equal keys
+    exactly when they are GL2(Z) images of each other, so equal keys mean
+    equal invariants. The persistent memo store's key."""
+    return vectors_key(_normal_form(d.vectors))
 
 
 def vectors_key(vectors: Sequence[Vec]) -> str:
     """The :func:`canonical_key` serialization of a sorted vector tuple."""
     return ";".join([f"({x},{y})" for x, y in vectors])
-
-
-def _class_form(vectors: Tuple[Vec, ...]) -> Tuple[Vec, ...]:
-    """Sorted ``vectors`` in the form that keys their GL2(Z) class: the
-    :func:`_normal_form` above 3 ends; at 2 or 3 a form costs more than it saves."""
-    return _normal_form(vectors) if len(vectors) > 3 else vectors
 
 
 def _normal_form(vectors: Tuple[Vec, ...]) -> Tuple[Vec, ...]:
@@ -152,10 +131,10 @@ def cp2_degree(d: int, parts: Sequence[int]) -> Degree:
     """
     parts = sorted(map(index, parts), reverse=True)
     if d < 1:
-        raise BadPartition(f"degree must be positive, got {d}")
+        raise DegreeError(f"degree must be positive, got {d}")
     if any(p <= 0 for p in parts):
-        raise BadPartition(f"partition parts must be positive: {parts}")
+        raise DegreeError(f"partition parts must be positive: {parts}")
     if sum(parts) != d:
-        raise BadPartition(f"parts {parts} sum to {sum(parts)}, not {d}")
+        raise DegreeError(f"parts {parts} sum to {sum(parts)}, not {d}")
     vecs = [(-1, 0)] * d + [(1, 1)] * d + [(0, -p) for p in parts]
     return make_degree(vecs)

@@ -13,8 +13,8 @@ def box_classes(bound, max_ends):
     """One vector tuple per GL2(Z) class, keyed by ``_normal_form``, of the
     zero-sum multisets of 3 to ``max_ends`` nonzero vectors in
     ``[-bound, bound]^2``. Each multiset is listed once: its last vector
-    closes the sum and is the largest. ``canonical_key`` would keep too many,
-    since it leaves 3-end degrees unnormalized."""
+    closes the sum and is the largest. ``canonical_key`` is the string of
+    the same form."""
     box = [(x, y) for x in range(-bound, bound + 1) for y in range(-bound, bound + 1)]
     box.remove((0, 0))
     inside = set(box)

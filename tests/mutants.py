@@ -223,6 +223,54 @@ MUTANTS = [
         "values",
         "a cached value of mixed parity loses the terms off hi's parity instead of being refused",
     ),
+    (
+        "decode-key-type",
+        "cli.py",
+        "set(map(type, keys)) != {str}",
+        "False",
+        "format",
+        "a cache line whose key is not a string is read instead of refused",
+    ),
+    (
+        "decode-hi-type",
+        "cli.py",
+        "set(map(type, his)) != {int}",
+        "False",
+        "format",
+        "a cache line whose hi is a float or a bool is read instead of refused",
+    ),
+    (
+        "decode-coefficient-type",
+        "cli.py",
+        "not set(map(type, chain.from_iterable(coeffs))) <= {int}",
+        "False",
+        "format",
+        "a cache line with a float, bool or string coefficient is read instead of refused",
+    ),
+    (
+        "mid-key-raise",
+        "direct_enumerator.py",
+        "if not rem and i and keys[i - 1] == at:",
+        "if False:",
+        "values",
+        "a root of side a on the vertex at one of a's keys before the last is taken as generic",
+    ),
+    (
+        "sub-degree-key-sorted",
+        "chord_recursion.py",
+        "_normal_form(closed)",
+        "closed",
+        "format",
+        "sub-degrees are cached under their sorted vectors, so images of a class are solved again",
+    ),
+    (
+        "canonical-key-sorted",
+        "lattice.py",
+        "_normal_form(d.vectors)",
+        "d.vectors",
+        "format",
+        "the top-level key is the sorted vectors, so an image of a cached degree misses",
+    ),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]

@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 
 from refined_chord import (
-    NonZeroSum,
+    DegreeError,
     RefinedPolynomial,
     canonical_key,
     cp2_degree,
@@ -58,7 +58,7 @@ def test_parse_unicode_minus():
 
 
 def test_parse_validation_errors_propagate():
-    with pytest.raises(NonZeroSum):
+    with pytest.raises(DegreeError, match=r"vectors sum to \(1,0\), not \(0,0\)"):
         parse_degree("(1,0)")
 
 
@@ -419,19 +419,19 @@ def test_cache_save_failure_keeps_old_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["memo.jsonl"]
 
 
-# the bytes of a version-3 file; a faster writer must not drift from them
+# the bytes of a version-4 file; a faster writer must not drift from them
 GOLDEN_CACHE = (
-    '{"version": 3}\n'
+    '{"version": 4}\n'
     '["(-1,0);(-1,0);(-1,0);(0,-1);(0,-1);(0,-1);(1,1);(1,1);(1,1)", '
     '2, [1, 7, 1]]\n'
-    '["(-2,0);(0,-2);(2,2)", 3, [1, 1, 1, 1]]\n'
+    '["(-2,-2);(0,2);(2,0)", 3, [1, 1, 1, 1]]\n'
     '["big", 3, [1000000000000000000000000000000, 0, 0, '
     '-1000000000000000000000000000000]]\n'
 )
 GOLDEN_ENTRIES = {
     "(-1,0);(-1,0);(-1,0);(0,-1);(0,-1);(0,-1);(1,1);(1,1);(1,1)":
         RefinedPolynomial({2: 1, 0: 7, -2: 1}),
-    "(-2,0);(0,-2);(2,2)": RefinedPolynomial({3: 1, 1: 1, -1: 1, -3: 1}),
+    "(-2,-2);(0,2);(2,0)": RefinedPolynomial({3: 1, 1: 1, -1: 1, -3: 1}),
     "big": RefinedPolynomial({3: 10**30, -3: -(10**30)}),
 }
 
@@ -452,7 +452,7 @@ def test_cache_line_matches_json_dumps(tmp_path, key):
     path = tmp_path / "memo.jsonl"
     save_cache(str(path), {key: poly})
     expected = (
-        json.dumps({"version": 3}) + "\n"
+        json.dumps({"version": 4}) + "\n"
         + json.dumps([key, 3, [10**30, 2, 2, 10**30]]) + "\n"
     )
     assert path.read_bytes() == expected.encode("utf-8")
@@ -494,7 +494,7 @@ def test_cache_loader_empty_file(tmp_path):
     path = tmp_path / "memo.jsonl"
     path.write_text("")
     assert load_cache(str(path)) == {}
-    path.write_text('{"version": 3}\n')
+    path.write_text('{"version": 4}\n')
     assert load_cache(str(path)) == {}
 
 
@@ -502,7 +502,7 @@ def test_cache_loader_zero_polynomials(tmp_path):
     # a vanishing invariant is stored with no coefficients; a file may hold
     # only such
     path = tmp_path / "memo.jsonl"
-    text = '{"version": 3}\n["a", 0, []]\n["b", 0, []]\n'
+    text = '{"version": 4}\n["a", 0, []]\n["b", 0, []]\n'
     path.write_text(text)
     loaded = load_cache(str(path))
     assert loaded == {"a": RefinedPolynomial(), "b": RefinedPolynomial()}
@@ -514,14 +514,14 @@ def test_cache_loader_zero_polynomials(tmp_path):
     assert load_cache(str(path)) == {**GOLDEN_ENTRIES, "zero": RefinedPolynomial()}
 
 
-_HEADER = '{"version": 3}\n'
+_HEADER = '{"version": 4}\n'
 _ENTRY = '["(-1,0);(0,-1);(1,1)", 0, [1]]'
-_OTHER = '["(-2,0);(0,-2);(2,2)", 1, [1, 1]]'
+_OTHER = '["(-2,-2);(0,2);(2,0)", 1, [1, 1]]'
 _DEEP = "[" * 100_000 + "]" * 100_000
 
 MALFORMED_CACHES = {
     # name: (file contents, number of the line named in the error)
-    # a version-1 entry under a version-3 header
+    # a version-1 entry under a version-4 header
     "array-entry": (_HEADER + '{"key": "k", "poly": {"0": "1"}}\n', 2),
     "no-poly": (_HEADER + _ENTRY + '\n["k", 0]\n', 3),
     "no-key": (_HEADER + '[0, [1]]\n', 2),
@@ -625,7 +625,7 @@ def test_cache_loader_refuses_a_file_its_line_check_passes(tmp_path, monkeypatch
     # made to pass every line, the loader still refuses the file as a whole
     monkeypatch.setattr("refined_chord.cli._bad_entry", lambda entry: None)
     path = tmp_path / "memo.jsonl"
-    path.write_text('{"version": 3}\n[5, 0, []]\n')
+    path.write_text('{"version": 4}\n[5, 0, []]\n')
     with pytest.raises(CacheFormatError) as info:
         load_cache(str(path))
     assert str(info.value).startswith(f"{path}: ")
@@ -658,12 +658,13 @@ def test_cache_version_rejected(tmp_path):
         load_cache(str(path))
 
 
-@pytest.mark.parametrize("version", ["3.0", "3e0"])
+@pytest.mark.parametrize("version", ["3.0", "3e0", "4.0", "4e0"])
 def test_cache_float_version_is_refused(tmp_path, capsys, version):
-    # a JSON float equals 3 in Python, but the version, like every hi and
-    # coefficient, must be a JSON integer; the file is left as it was
+    # a JSON float equals the current version 4, or the older 3, in Python,
+    # but the version, like every hi and coefficient, must be a JSON integer;
+    # the file is left as it was
     path = tmp_path / "memo.jsonl"
-    text = GOLDEN_CACHE.replace('{"version": 3}', '{"version": %s}' % version)
+    text = GOLDEN_CACHE.replace('{"version": 4}', '{"version": %s}' % version)
     path.write_text(text)
     with pytest.raises(CacheVersionError, match="unsupported"):
         load_cache(str(path))
@@ -678,11 +679,14 @@ def test_cache_float_version_is_refused(tmp_path, capsys, version):
     "version, text",
     [
         (1, '{"version": 1}\n{"key": "(-1,0);(0,-1);(1,1)", "poly": {"0": "1"}}\n'),
-        # version 2 keyed entries by vector multiset; version 3 keys them by
-        # GL2(Z) class, so a version-2 file is refused as version 1 is
-        (2, GOLDEN_CACHE.replace('{"version": 3}', '{"version": 2}')),
+        # version 2 keyed entries by vector multiset; version 3 keyed them by
+        # GL2(Z) class but left 2- and 3-end degrees under their own sorted
+        # vectors; version 4 keys every degree by its normal form, so both
+        # are refused as version 1 is
+        (2, GOLDEN_CACHE.replace('{"version": 4}', '{"version": 2}')),
+        (3, GOLDEN_CACHE.replace('{"version": 4}', '{"version": 3}')),
     ],
-    ids=["1", "2"],
+    ids=["1", "2", "3"],
 )
 def test_old_cache_version_is_refused_as_deletable(tmp_path, capsys, version, text):
     # no reader for an older version: the file is a memo, so the message
@@ -703,7 +707,7 @@ def test_compute_writes_and_reuses_cache(tmp_path, capsys):
     assert main(["compute", "P2:3", "--cache-path", str(path)]) == 0
     first = capsys.readouterr().out
     data = load_cache(str(path))
-    assert any("(-1,0)" in key for key in data)
+    assert "(-1,-1);(0,1);(1,0)" in data  # P2:1, keyed by its normal form
     assert main(["compute", "P2:3", "--cache-path", str(path)]) == 0
     assert capsys.readouterr().out == first
 
@@ -724,7 +728,8 @@ def test_compute_refuses_unpackable_cached_subdegree(tmp_path, capsys):
     # only for a palindromic value; load_cache accepts the file, and the
     # entry is refused where it is used
     path = tmp_path / "memo.jsonl"
-    key = "(-1,0);(0,-1);(1,1)"
+    key = "(-1,-1);(0,1);(1,0)"
+    assert canonical_key(parse_degree("P2:1")) == key
     save_cache(str(path), {key: RefinedPolynomial({2: 1, 0: 7})})
     before = path.read_bytes()
     assert main(["compute", "P2:3", "--cache-path", str(path)]) == 2
@@ -750,7 +755,8 @@ def test_compute_refuses_unpackable_cached_top_level_value(tmp_path, capsys):
     "cached, image",
     [
         ("P1xP1:2,1", "P1xP1:1,2"),
-        # P2:4 sheared by (x, y) -> (x + y, y)
+        # P2:1 and P2:4 sheared by (x, y) -> (x + y, y)
+        ("P2:1", "(-1,0),(2,1),(-1,-1)"),
         ("P2:4", "(-1,0)^4,(-1,-1)^4,(2,1)^4"),
     ],
 )
@@ -802,7 +808,7 @@ def test_compute_miss_resaves_loaded_entries_as_an_eager_save(tmp_path, capsys):
 
 
 def test_compute_on_the_benchmark_cache_resaves_as_an_eager_save(tmp_path, capsys):
-    # the file the cli-warm benchmark starts from, 318 degrees in 154
+    # the file the cli-warm benchmark starts from, 318 degrees in 145
     # GL2(Z) classes: a miss, then a hit, leave the bytes an eager save of
     # the same values gives
     reference = os.path.join(
@@ -821,7 +827,7 @@ def test_compute_on_the_benchmark_cache_resaves_as_an_eager_save(tmp_path, capsy
         for key, poly in load_cache(str(path)).items()
     }
     assert len(prefill) == 318
-    assert len(eager) == 154
+    assert len(eager) == 145
     assert main(["compute", "P1xP1:2,3", "--cache-path", str(path)]) == 0
     assert main(["compute", "P2:4", "--cache-path", str(path)]) == 0
     d = parse_degree("P1xP1:2,3")

@@ -230,23 +230,32 @@ def test_oracle_guard_agrees_with_the_budget_formula():
 _DEGENERATE_MU = (0, 0, 0, 0)
 
 
+# a split's vertex on the root of one of its side a's curves, not the last;
+# read as generic, this draw gives 28 at q^1, not 31
+_INNER_KEY_DRAW = (
+    [(2, 1), (-1, 1), (-1, -2), (1, 0), (-1, 0), (0, 1), (0, -1)],
+    (0, -1, 3, 3, -1, 3, -7),
+)
+
+
 def test_degenerate_configuration_rejected_then_redrawn(monkeypatch):
     import refined_chord.direct_enumerator as de
 
-    d = make_degree([(-1, 0), (0, -1), (0, 1), (1, 0)])
     real = sample_generic_moments
-    calls = []
+    for vectors, mu in [([(-1, 0), (0, -1), (0, 1), (1, 0)], _DEGENERATE_MU), _INNER_KEY_DRAW]:
+        d = make_degree(vectors)
+        calls = []
 
-    def adversarial(degree, seed):
-        calls.append(seed)
-        if len(calls) == 1:
-            return _DEGENERATE_MU
-        return real(degree, seed)
+        def adversarial(degree, seed):
+            calls.append(seed)
+            if len(calls) == 1:
+                return mu
+            return real(degree, seed)
 
-    monkeypatch.setattr(de, "sample_generic_moments", adversarial)
-    value = de.oracle_invariant(d, seed=0)
-    assert len(calls) >= 2  # first draw rejected, next seed used
-    assert value == refined_invariant(d, cache={})
+        monkeypatch.setattr(de, "sample_generic_moments", adversarial)
+        value = de.oracle_invariant(d, seed=0)
+        assert len(calls) >= 2, vectors  # first draw rejected, next seed used
+        assert value == refined_invariant(d, cache={}), vectors
 
 
 def test_zero_length_edge_rejected_then_redrawn(monkeypatch):
@@ -575,9 +584,7 @@ def test_oracle_agrees_with_recursion_on_random_degrees(vecs, seed, data):
 
 def test_every_class_in_a_small_box_by_both_engines():
     # every zero-sum multiset of 3 to 6 nonzero vectors in [-2, 2]^2, one per
-    # GL2(Z) class: 606 classes, 11 of them all parallel. canonical_key would
-    # give 652, since it leaves 3-end degrees unnormalized and so keeps 52
-    # keys for 6 classes
+    # GL2(Z) class: 606 classes, 11 of them all parallel
     classes = box_classes(2, 6)
     assert len(classes) == 606
     shared = {}

@@ -7,11 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from refined_chord import (
-    BadPartition,
     Degree,
-    NonZeroSum,
-    TooSmall,
-    ZeroVector,
+    DegreeError,
     canonical_key,
     cp2_degree,
     make_degree,
@@ -55,19 +52,19 @@ def test_make_degree_two_vectors():
 
 
 def test_make_degree_rejects_nonzero_sum():
-    with pytest.raises(NonZeroSum):
+    with pytest.raises(DegreeError, match=r"vectors sum to \(0,1\), not \(0,0\)"):
         make_degree([(-1, 0), (1, 1)])
-    with pytest.raises(NonZeroSum):
+    with pytest.raises(DegreeError, match=r"vectors sum to \(1,0\), not \(0,0\)"):
         make_degree([(1, 0)])
 
 
 def test_make_degree_rejects_zero_vector():
-    with pytest.raises(ZeroVector):
+    with pytest.raises(DegreeError, match="degree entries must be nonzero vectors"):
         make_degree([(0, 0), (1, 0), (-1, 0)])
 
 
 def test_make_degree_rejects_too_small():
-    with pytest.raises(TooSmall):
+    with pytest.raises(DegreeError, match="a degree needs at least 2 vectors, got 0"):
         make_degree([])
 
 
@@ -99,7 +96,7 @@ def test_canonical_key_distinct_multisets():
 
 def test_canonical_key_stable_serialization():
     d = make_degree([(1, 1), (0, -1), (-1, 0)])
-    assert canonical_key(d) == "(-1,0);(0,-1);(1,1)"
+    assert canonical_key(d) == "(-1,-1);(0,1);(1,0)"
 
 
 # The keys persisted cache files are read under. Changing any of them (for
@@ -108,6 +105,9 @@ def test_canonical_key_stable_serialization():
 @pytest.mark.parametrize(
     "spec, key",
     [
+        ("P2:1", "(-1,-1);(0,1);(1,0)"),
+        ("(-1,0),(2,1),(-1,-1)", "(-1,-1);(0,1);(1,0)"),  # P2:1 sheared
+        ("(0,-1)^2,(0,2)", "(-2,0);(1,0);(1,0)"),  # colinear
         ("P1xP1:2,2", "(-1,0);(-1,0);(0,-1);(0,-1);(0,1);(0,1);(1,0);(1,0)"),
         (
             "(1,0),(0,1),(-1,-1),(-1,0),(0,-1),(1,1)",
@@ -247,11 +247,11 @@ def test_cp2_degree_sorts_partition():
 
 
 def test_cp2_degree_rejects_bad_partitions():
-    with pytest.raises(BadPartition):
-        cp2_degree(2, [1, 2])  # parts sum to 3
-    with pytest.raises(BadPartition):
+    with pytest.raises(DegreeError, match=r"parts \[2, 1\] sum to 3, not 2"):
+        cp2_degree(2, [1, 2])
+    with pytest.raises(DegreeError, match="partition parts must be positive"):
         cp2_degree(2, [3, -1])
-    with pytest.raises(BadPartition):
+    with pytest.raises(DegreeError, match="degree must be positive, got 0"):
         cp2_degree(0, [])
 
 

@@ -9,12 +9,12 @@ from refined_chord.refined_poly import _Deferred, _dense
 PUBLIC = {
     "refined_invariant", "oracle_invariant", "make_degree", "cp2_degree",
     "canonical_key", "RefinedPolynomial", "Degree", "Vec",
-    "DegreeError", "NonZeroSum", "ZeroVector", "TooSmall", "BadPartition",
-    "VectorNotInDegree", "TooLarge", "GenericityFailure",
+    "DegreeError", "VectorNotInDegree", "TooLarge", "GenericityFailure",
 }
 
 REMOVED = [
-    "BadArity", "ChordDecomposition", "DegenerateBlock", "ORACLE_END_GUARD",
+    "BadArity", "BadPartition", "ChordDecomposition", "DegenerateBlock",
+    "NonZeroSum", "ORACLE_END_GUARD", "TooSmall", "ZeroVector",
     "canonical_representative", "enumerate_decompositions",
     "mikhalkin_normalization", "omega", "q_analog", "sample_generic_moments",
     "sub_degree",
@@ -22,7 +22,7 @@ REMOVED = [
 
 
 def test_all_is_exactly_the_public_api():
-    assert len(refined_chord.__all__) == len(PUBLIC) == 16
+    assert len(refined_chord.__all__) == len(PUBLIC) == 12
     assert set(refined_chord.__all__) == PUBLIC
 
 
