@@ -42,11 +42,10 @@ from math import comb, gcd, prod
 from operator import sub
 from typing import Dict, Optional, Tuple
 
-from .lattice import Degree, Vec, _normal_form, canonical_key, omega, vectors_key
+from .lattice import Degree, Vec, canonical_key, omega
 from .refined_poly import (
     Packed,
     RefinedPolynomial,
-    _check_cached,
     _pack,
     _packed_q_analog,
     _SlotOverflow,
@@ -59,10 +58,10 @@ _ONE = RefinedPolynomial.one()
 # sigma passers held in the (w, pool) records of one top-level memo, each
 # with at most one filled slot of terms: P2:10 peaks at 92,582 (37 MB peak),
 # P2:11 at 160,979 (54 MB) and P2:12 at 256,808 (82 MB), so no triangle
-# degree up to 12 reaches the guard; P2:13 clears it once and P2:14 5 times.
-# Chosen by bytes: at 500,000 cold P2:14 took 160 MB, at this guard 136 MB.
-# Clearing costs time, not values. Sub-degree values are kept apart, never
-# cleared.
+# degree up to 12 reaches the guard; P2:13 clears it once and P2:14 6 times,
+# all at 128-bit slots. Chosen by bytes: at 500,000 cold P2:14 took 160 MB,
+# at this guard 136 MB. Clearing costs time, not values. Sub-degree values
+# are kept apart, never cleared.
 SUFFIX_MEMO_GUARD = 400_000
 
 
@@ -71,12 +70,10 @@ class VectorNotInDegree(ValueError):
 
 
 def _remove_ends(vectors: Tuple[Vec, ...], *ends: Vec) -> Counter:
-    """The multiset ``vectors`` with one instance of each of ``ends`` taken out."""
+    """The multiset ``vectors`` with one instance of each of ``ends``, which
+    :func:`_default_ends` chose from it, taken out."""
     pool = Counter(vectors)
-    for v in ends:
-        if pool[v] <= 0:
-            raise VectorNotInDegree(f"{v} cannot be removed from {vectors}")
-        pool[v] -= 1
+    pool.subtract(ends)
     return +pool
 
 
@@ -153,7 +150,8 @@ def _default_ends(
     """Pick chord ends ``(v1, vm)`` minimizing, in this order: the distinct
     vectors left in the pool, ``vm != parent_vm``, the pool's sub-multisets
     ``left = prod(c_v + 1)``, ``omega(v1, vm) >= 0``, then ``v1`` and ``vm``
-    lexicographically. A given ``v1`` or ``vm`` is kept.
+    lexicographically. A given ``v1`` or ``vm`` is kept; if no pair of
+    ends of ``vectors`` has it, :class:`VectorNotInDegree` names it.
 
     Only the work depends on the choice, never the value. Records are keyed
     by ``(w, pool)`` across one call's sub-degrees (see :func:`_chord_sum`)
@@ -173,13 +171,16 @@ def _default_ends(
         ca = counts[a]
         for b in values if vm is None else (vm,):
             cb = counts[b] - (a == b)  # once a is removed
-            if a == b and not cb:
+            if ca < 1 or cb < 1:
                 continue
             distinct = total - (ca == 1) - (cb == 1)
             left = size * ca // (ca + 1) * cb // (cb + 1)
             cand = (distinct, b != parent_vm, left, omega(a, b) >= 0, a, b)
             if best is None or cand < best:
                 best = cand
+    if best is None:
+        end = vm if v1 is None or counts[v1] else v1
+        raise VectorNotInDegree(f"{end} cannot be removed from {vectors}")
     return best[4], best[5]
 
 
@@ -211,35 +212,23 @@ def refined_invariant(
     cycles (see :func:`_chord_sum`). The collector is re-enabled on exit,
     normal or not, only if it was enabled on entry. That has one global
     effect: if another thread calls ``gc.disable()`` during a call that saw
-    the collector enabled, the call re-enables it on exit. A cache hit and a
-    2-end degree return without pausing it.
+    the collector enabled, the call re-enables it on exit. A cache hit on
+    ``d`` pauses it too; only a 2-end degree returns without pausing it.
     """
     cache = {} if cache is None else cache
-    if d.m == 2:
-        if v1 is not None or vm is not None:
-            _remove_ends(d.vectors, *[v for v in (v1, vm) if v is not None])
-        return _ONE
-    key = None
-    if v1 is None and vm is None:
-        key = canonical_key(d)
-        hit = cache.get(key)
-        if hit is not None:
-            _check_cached(key, hit)
-            return hit
-    if v1 is None or vm is None:
+    if v1 is not None or vm is not None:
         v1, vm = _default_ends(d.vectors, v1, vm)
+    if d.m == 2:
+        return _ONE
     collecting = gc.isenabled()
     gc.disable()
     try:
-        value = _widening(
+        return _widening(
             lambda bits: _chord_sum(d.vectors, v1, vm, cache, {}, {}, bits)
         )
     finally:
         if collecting:
             gc.enable()
-    if key is not None:
-        cache[key] = value
-    return value
 
 
 def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
@@ -265,15 +254,17 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
     chord ends in the same ``vm``, which :func:`_default_ends` prefers.
 
     One frame serves the call: :func:`refined_invariant` calls this once
-    per slot width with a fresh ``memo`` and ``values``, and the nested
-    ``solve`` solves every sub-degree, the top level included, with its own
-    ``vm``. The frame counts the passers its records hold, each with at
-    most one filled slot, and clears the memo before storing a record that
-    would take the count past ``SUFFIX_MEMO_GUARD``, which costs time but
-    changes no value. ``solve``, ``suffix_sum`` and ``block_summand``
-    refer to each other through their closure cells; deleting them on exit
-    breaks that cycle once, so reference counting frees the memo as soon as
-    the call returns, with no help from the cyclic collector, which
+    per slot width with a fresh ``memo`` and ``values``. The nested
+    ``value`` is the one path from a degree to its value, for every closed
+    block and for the top level unless its chord is given, which ``solve``
+    then sums directly; ``solve`` sums a chord with its own ``vm``. The
+    frame counts the passers its records hold, each with at most one filled
+    slot, and clears the memo before storing a record that would take the
+    count past ``SUFFIX_MEMO_GUARD``, which costs time but changes no value.
+    ``value``, ``solve``, ``suffix_sum`` and ``block_summand`` refer to each
+    other through their closure cells; deleting them on exit breaks that
+    cycle once, so reference counting frees the memo as soon as the call
+    returns, with no help from the cyclic collector, which
     :func:`refined_invariant` pauses. The memo is never stored in ``cache``.
 
     Values are packed as ``(n, hi, e1)``, one int of coefficient slots with
@@ -291,12 +282,14 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
     run. A block that vanishes, or that no tail can follow, stores ``()``;
     the tails are summed first, so a closed block is solved only when some
     tail survives. The pool never holds the chord's two ends, so a closed
-    block has at most ``m - 1`` ends. After its tails it is looked up in
-    ``values`` under its sorted vectors, then in ``cache`` under its
-    :func:`_normal_form`'s string, since N(A * D) = N(D) for A in GL2(Z).
-    Only when both miss is the block solved, in its own coordinates, and
-    ``cache`` written once per class. ``values`` is never cleared and keeps
-    packed values; ``cache`` keeps unpacked polynomials.
+    block has at most ``m - 1`` ends. After its tails ``value`` looks it
+    up in ``values`` under its sorted vectors, then in ``cache`` under its
+    :func:`canonical_key`, since N(A * D) = N(D) for A in GL2(Z). Only when
+    both miss is the block solved, in its own coordinates, and ``cache``
+    written once per class. A hit is packed, and one whose value at q = 1
+    reaches ``2**bits`` raises :class:`_SlotOverflow` as a state total
+    does. ``values`` is never cleared and keeps packed values; ``cache``
+    keeps unpacked polynomials.
 
     In its one loop over run lengths ``block_summand`` asks
     :func:`_admits_block` whether the tail's state, the pool left at
@@ -415,18 +408,7 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
             return ()
         fn, fh, fe = _packed_q_analog(abs(sigma), bits)
         if n > 1:
-            closed = tuple(sorted(block + ((ux, uy),)))
-            packed = values.get(closed)
-            if packed is None:
-                class_key = vectors_key(_normal_form(closed))
-                hit = cache.get(class_key)
-                if hit is None:
-                    packed = solve(closed, *_default_ends(closed, parent_vm=vm))
-                    cache[class_key] = _unpack(packed, bits)
-                else:
-                    packed = _pack(class_key, hit, bits)
-                values[closed] = packed
-            sn, sh, se = packed
+            sn, sh, se = value(tuple(sorted(block + ((ux, uy),))), vm)
             if not se:
                 return ()
             fn *= sn
@@ -435,7 +417,20 @@ def _chord_sum(vectors, v1, vm, cache, memo, values, bits) -> Packed:
         # identical blocks repeat with the same sigma: r blocks weigh f ** r
         return [(fn**r * xn, fh * r + xh, fe**r * xe) for r, xn, xh, xe in tails]
 
+    def value(vectors, parent_vm):
+        packed = values.get(vectors)
+        if packed is None:
+            key = canonical_key(Degree(vectors))
+            hit = cache.get(key)
+            if hit is None:
+                packed = solve(vectors, *_default_ends(vectors, parent_vm=parent_vm))
+                cache[key] = _unpack(packed, bits)
+            else:
+                packed = _pack(key, hit, bits)
+            values[vectors] = packed
+        return packed
+
     try:
-        return solve(vectors, v1, vm)
+        return solve(vectors, v1, vm) if v1 is not None else value(vectors, None)
     finally:
-        del solve, suffix_sum, block_summand
+        del solve, suffix_sum, block_summand, value

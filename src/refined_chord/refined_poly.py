@@ -210,12 +210,16 @@ def _check_cached(key: str, poly: RefinedPolynomial) -> Tuple[int, List[int]]:
 
 def _pack(key: str, poly: RefinedPolynomial, bits: int) -> Packed:
     """``poly`` in packed form, or ``ValueError`` naming ``key`` when the
-    form cannot hold it exactly (see :func:`_check_cached`)."""
+    form cannot hold it exactly (see :func:`_check_cached`), or
+    :class:`_SlotOverflow` when its value at q = 1 reaches ``2**bits``."""
     hi, coeffs = _check_cached(key, poly)
+    e1 = sum(coeffs)
+    if e1 >> bits:
+        raise _SlotOverflow
     n = 0
     for c in coeffs:  # from the top: slot hi is q^(hi/2)
         n = n << bits | c
-    return n, hi, sum(coeffs)
+    return n, hi, e1
 
 
 def _unpack(packed: Packed, bits: int) -> RefinedPolynomial:

@@ -14,16 +14,36 @@ def box_classes(bound, max_ends):
     zero-sum multisets of 3 to ``max_ends`` nonzero vectors in
     ``[-bound, bound]^2``. Each multiset is listed once: its last vector
     closes the sum and is the largest. ``canonical_key`` is the string of
-    the same form."""
+    the same form.
+
+    Heads of ``k`` vectors are walked in lexicographic order, as
+    ``itertools.combinations_with_replacement`` lists them. A partial sum is
+    dropped when the ``r`` vectors still to come, the closing one included,
+    cannot cancel it: each has ``x`` at least that of the vector just taken
+    and ``|x|, |y| <= bound``."""
     box = [(x, y) for x in range(-bound, bound + 1) for y in range(-bound, bound + 1)]
     box.remove((0, 0))
     inside = set(box)
     classes = {}
-    for k in range(2, max_ends):
-        for head in itertools.combinations_with_replacement(box, k):
-            last = (-sum(x for x, _ in head), -sum(y for _, y in head))
+
+    def walk(head, start, r, sx, sy):
+        # r vectors follow head: r - 1 of the head, then the closing one
+        if r == 1:
+            last = (-sx, -sy)
             if last in inside and last >= head[-1]:
                 classes.setdefault(_normal_form(head + (last,)), None)
+            return
+        r -= 1
+        for i in range(start, len(box)):
+            x, y = box[i]
+            tx, ty = sx + x, sy + y
+            if r * x > -tx:
+                break  # every later vector has at least this x
+            if -tx <= r * bound and abs(ty) <= r * bound:
+                walk(head + (box[i],), i, r, tx, ty)
+
+    for k in range(2, max_ends):
+        walk((), 0, k + 1, 0, 0)
     return list(classes)
 
 

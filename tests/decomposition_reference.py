@@ -30,7 +30,7 @@ from itertools import product
 from math import factorial, gcd
 from typing import Iterator, Sequence, Tuple
 
-from refined_chord.chord_recursion import _remove_ends
+from refined_chord import VectorNotInDegree
 from refined_chord.lattice import Degree, Vec, make_degree, omega
 
 Block = Tuple[Vec, ...]
@@ -136,7 +136,12 @@ def enumerate_decompositions(d: Degree, v1: Vec, vm: Vec) -> Iterator[ChordDecom
     """
     if d.m < 3:
         raise ValueError("decompositions need at least 3 ends")
-    pool = _remove_ends(d.vectors, v1, vm)
+    pool = Counter(d.vectors)
+    for v in (v1, vm):
+        if not pool[v]:
+            raise VectorNotInDegree(f"{v} cannot be removed from {d.vectors}")
+        pool[v] -= 1
+    pool = +pool
     pool_items = tuple(sorted(pool.items()))
     w1 = (-v1[0], -v1[1])
     for blocks, us, ws, sigmas in _search(pool_items, w1, None, None, (), (), (w1,), ()):

@@ -256,20 +256,52 @@ MUTANTS = [
         "a root of side a on the vertex at one of a's keys before the last is taken as generic",
     ),
     (
-        "sub-degree-key-sorted",
-        "chord_recursion.py",
-        "_normal_form(closed)",
-        "closed",
-        "format",
-        "sub-degrees are cached under their sorted vectors, so images of a class are solved again",
-    ),
-    (
         "canonical-key-sorted",
         "lattice.py",
         "_normal_form(d.vectors)",
         "d.vectors",
         "format",
-        "the top-level key is the sorted vectors, so an image of a cached degree misses",
+        "degrees are cached under their sorted vectors, so an image of a cached class misses",
+    ),
+    (
+        "pack-overflow",
+        "refined_poly.py",
+        "if e1 >> bits:\n        raise _SlotOverflow\n    n = 0",
+        "if False:\n        raise _SlotOverflow\n    n = 0",
+        "values",
+        "a cached value that reaches the slot width is packed, carrying out of its slots",
+    ),
+    (
+        "ends-of-count-zero",
+        "chord_recursion.py",
+        "cb < 1",
+        "cb < 0",
+        "values",
+        "a given vm that is not an end, or a pair of equal ends of multiplicity 1, is a chord",
+    ),
+    (
+        "oracle-zero-slope-coincident",
+        "direct_enumerator.py",
+        "(ax or ay) and (bx or by)",
+        "True",
+        "values",
+        "a split with a zero-sum side is raised as coincident lines, so its degree exhausts its draws",
+    ),
+    (
+        "moments-may-repeat",
+        "direct_enumerator.py",
+        "len(set(mus)) == m",
+        "True",
+        "values",
+        "a moment draw with two equal moments is used",
+    ),
+    (
+        "draw-seed-fixed",
+        "direct_enumerator.py",
+        "seed + attempt",
+        "seed",
+        "values",
+        "every redraw repeats the first, so a degenerate first draw exhausts the attempts",
     ),
 ]
 

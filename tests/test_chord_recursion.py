@@ -18,7 +18,7 @@ from refined_chord import (
     oracle_invariant,
     refined_invariant,
 )
-from refined_chord import chord_recursion, refined_poly
+from refined_chord import chord_recursion, lattice, refined_poly
 from refined_chord.chord_recursion import _default_ends
 from refined_chord.cli import parse_degree
 from refined_chord.lattice import _normal_form, omega
@@ -236,7 +236,7 @@ def test_end_choice_invariance_every_sub_degree(monkeypatch, seed, class_reuse):
     calls = []
     monkeypatch.setattr(chord_recursion, "_default_ends", _random_ends(seed, calls))
     if not class_reuse:
-        monkeypatch.setattr(chord_recursion, "_normal_form", lambda vectors: vectors)
+        monkeypatch.setattr(lattice, "_normal_form", lambda vectors: vectors)
     for name, d in FUZZ_DEGREES:
         assert refined_invariant(d, cache={}) == pinned[name], name
     # the picker chose for many sub-degrees, not only the top-level ones
@@ -411,7 +411,7 @@ def test_class_reuse_solves_fewer_chords_than_keys_written(monkeypatch):
     cache = {}
     refined_invariant(parse_degree("P2:6"), cache=cache)
     assert len(calls) == len(cache) == 31
-    monkeypatch.setattr(chord_recursion, "_normal_form", lambda vectors: vectors)
+    monkeypatch.setattr(lattice, "_normal_form", lambda vectors: vectors)
     calls.clear()
     unclassed = {}
     refined_invariant(parse_degree("P2:6"), cache=unclassed)
@@ -429,7 +429,7 @@ def test_class_reuse_writes_the_values_of_a_fresh_solve(monkeypatch):
         refined_invariant(parse_degree(spec), cache=cold)
         assert all(cache.get(key, value) == value for key, value in cold.items())
         cache.update(cold)
-    monkeypatch.setattr(chord_recursion, "_normal_form", lambda vectors: vectors)
+    monkeypatch.setattr(lattice, "_normal_form", lambda vectors: vectors)
     for key, value in cache.items():
         d = parse_degree(key.replace(";", ","))
         assert canonical_key(d) == key
@@ -838,10 +838,54 @@ def test_pack_refuses_unpackable_value(value):
         refined_poly._pack("some-key", value, 64)
 
 
-def test_top_level_cache_hit_is_returned_as_stored():
+def _no_records(monkeypatch):
+    """Make streaming any record fail: nothing may be solved after this."""
+    def stream(key):
+        raise AssertionError(f"record {key} streamed")
+
+    monkeypatch.setattr(chord_recursion, "_sub_multisets", stream)
+
+
+def test_top_level_cache_hit_returns_an_equal_value_and_solves_nothing(monkeypatch):
+    # a hit is packed and unpacked like a sub-degree hit, so it comes back
+    # equal to the stored value, not as the stored object
     d = cp2_degree(4, [1] * 4)
     cache = {canonical_key(d): refined_invariant(d, cache={})}
-    assert refined_invariant(d, cache=cache) is cache[canonical_key(d)]
+    _no_records(monkeypatch)
+    assert refined_invariant(d, cache=cache) == cache[canonical_key(d)]
+    assert len(cache) == 1
+
+
+def test_top_level_cache_hit_wider_than_the_slots_is_returned_exactly(monkeypatch):
+    # a middle coefficient of 2**70 carries out of a 64-bit slot; only the
+    # q = 1 check of the packed hit notices, and the read is redone with
+    # slots twice as wide. Well formed, so nothing else refuses it
+    d = cp2_degree(3, [1] * 3)
+    planted = P({2: 1, 0: 2**70, -2: 1})
+    cache = {canonical_key(d): planted}
+    _no_records(monkeypatch)
+    widths = _slot_widths(monkeypatch)
+    assert refined_invariant(d, cache=cache) == planted
+    assert widths == [64, 128]
+
+
+def test_sub_degree_cache_hit_wider_than_the_slots_gives_the_wide_value(monkeypatch):
+    # sub-degree entries above 2**64 give at the default width what a count
+    # that starts at 128-bit slots gives, and the same entries. Each planted
+    # value is a computed one times 2**64, so it keeps its parity
+    d = cp2_degree(4, [1] * 4)
+    cold = {}
+    refined_invariant(d, cache=cold)
+    del cold[canonical_key(d)]
+    planted = {
+        key: P({k: c << 64 * (i % 2) for k, c in value.items()})
+        for i, (key, value) in enumerate(cold.items())
+    }
+    narrow, wide = dict(planted), dict(planted)
+    at_default = refined_invariant(d, cache=narrow)
+    monkeypatch.setattr(refined_poly, "_SLOT_BITS", 128)
+    assert refined_invariant(d, cache=wide) == at_default
+    assert narrow == wide
 
 
 def test_explicit_chord_neither_reads_nor_writes_the_top_level_entry():

@@ -764,8 +764,8 @@ def test_compute_gl2z_image_is_a_top_level_class_hit(
     tmp_path, capsys, monkeypatch, cached, image
 ):
     # the file holds one entry per class, so an image of a cached degree is
-    # served from it: no chord is summed, the file is not rewritten, and the
-    # degree is keyed once
+    # served from it: no record is streamed, the file is not rewritten, and
+    # the degree is keyed once
     import refined_chord.lattice as lattice
     from refined_chord import chord_recursion
 
@@ -775,12 +775,12 @@ def test_compute_gl2z_image_is_a_top_level_class_hit(
     expected = refined_invariant(parse_degree(cached)).to_text()
     assert capsys.readouterr().out.splitlines() == [expected]
 
-    def no_chord_sum(*args):
-        raise AssertionError("a class hit sums no chord")
+    def no_records(key):
+        raise AssertionError("a class hit streams no record")
 
     forms = []
     real_form = lattice._normal_form
-    monkeypatch.setattr(chord_recursion, "_chord_sum", no_chord_sum)
+    monkeypatch.setattr(chord_recursion, "_sub_multisets", no_records)
     monkeypatch.setattr(
         lattice, "_normal_form", lambda vectors: forms.append(vectors) or real_form(vectors)
     )
