@@ -16,10 +16,11 @@ rather than by ``int`` with a hint about interpreter settings. A spec of
 more than ``PARSE_END_GUARD`` ends is refused before its vectors are built.
 
 Exit codes: 0 success, 1 cross-check mismatch (``verify``), 2 parse or
-validation errors, guard violations and a cache path that cannot be read
-or written. Results go to stdout, diagnostics to stderr. The environment
-variable ``REFINED_CHORD_CACHE`` names a default persistent memo file for
-``compute``.
+validation errors, guard violations, a cache file that is not in the cache
+format or whose body does not match the checksum in its header, and a cache
+path that cannot be read or written. Results go to stdout, diagnostics to
+stderr. The environment variable ``REFINED_CHORD_CACHE`` names a default
+persistent memo file for ``compute``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import json
 import os
 import re
 import sys
+import zlib
 from itertools import chain, compress, groupby
 from operator import itemgetter, not_
 from json.encoder import encode_basestring_ascii
@@ -47,7 +49,7 @@ from .lattice import Degree, Vec, cp2_degree, make_degree
 from .refined_poly import RefinedPolynomial, _Deferred, _dense
 
 CACHE_ENV = "REFINED_CHORD_CACHE"
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 TABLE_DEGREE_GUARD = 8
 # ends a degree spec may describe, checked before any vector list is built;
 # far above what compute can finish (P2:14 has 42)
@@ -67,7 +69,8 @@ class ParseError(ValueError):
 
 
 class CacheFormatError(ValueError):
-    """The cache file is not in the cache format; names the file and line."""
+    """The cache file is not in the cache format, or was changed after it
+    was written; names the file."""
 
 
 class CacheVersionError(CacheFormatError):
@@ -187,19 +190,18 @@ def _parse_vector_list(s: str) -> Degree:
 
 
 def load_cache(path: str) -> Dict[str, RefinedPolynomial]:
-    """Read a JSON-lines cache file: a version header, then one entry per
-    line; blank lines are skipped. A file of an earlier version is refused
-    with a message saying it can be deleted, an unknown version is refused
-    rather than guessed at, and anything else that is not this format raises
-    :class:`CacheFormatError` naming the file and, where it can, the line."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise CacheFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    if not text.strip():
+    """Read a cache file: a JSON header holding the format version and the
+    CRC-32 of the rest of the file, then one entry per line. A file of an
+    earlier version is refused with a message saying it can be deleted, an
+    unknown version is refused rather than guessed at, a file whose body no
+    longer matches its checksum is refused as modified or torn, and anything
+    else that is not this format raises :class:`CacheFormatError` naming
+    the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.strip():
         return {}
-    header_line, *lines = text.split("\n")
+    header_line, _, body = data.partition(b"\n")
     try:
         header = json.loads(header_line)
         version = header["version"]
@@ -213,38 +215,31 @@ def load_cache(path: str) -> Dict[str, RefinedPolynomial]:
             f"cannot be read (want {CACHE_VERSION}); the file only holds "
             "values that compute rebuilds, so it can be deleted"
         )
-    # 4.0 and 4e0 equal 4 in Python, but only a JSON integer is this format
+    # 5.0 and 5e0 equal 5 in Python, but only a JSON integer is this format
     if type(version) is not int or version != CACHE_VERSION:
         raise CacheVersionError(
             f"{path}: cache version {version!r} unsupported (want {CACHE_VERSION})"
         )
+    if header.get("crc32") != zlib.crc32(body):
+        raise CacheFormatError(
+            f"{path}: modified or torn since it was written (its CRC-32 does "
+            "not match its header); the file only holds values that compute "
+            "rebuilds, so it can be deleted"
+        )
     try:
-        return _decode_entries(list(filter(str.strip, lines)))
+        return _decode_entries(list(filter(str.strip, body.decode().split("\n"))))
     except (ValueError, RecursionError) as exc:  # json.loads of too deep nesting
-        bulk_error = exc
-    # locate the first bad line, or the first to repeat a key
-    line_of: Dict[str, int] = {}
-    for number, line in enumerate(lines, start=2):
-        if line.strip():
-            try:
-                entry = json.loads(line)
-                reason = _bad_entry(entry)
-            except (ValueError, RecursionError) as exc:
-                reason = _describe(exc)
-            if not reason and line_of.setdefault(entry[0], number) != number:
-                reason = f"key {json.dumps(entry[0])} repeats line {line_of[entry[0]]}"
-            if reason:
-                raise CacheFormatError(
-                    f"{path}: line {number} is not a cache entry ({reason})"
-                ) from None
-    raise CacheFormatError(f"{path}: {_describe(bulk_error)}") from None
+        raise CacheFormatError(
+            f"{path}: the entries are not in the cache format ({_describe(exc)})"
+        ) from None
 
 
 def _decode_entries(lines: List[str]) -> Dict[str, RefinedPolynomial]:
     """Decode entry lines in one ``json.loads`` pass: each line must hold
-    one ``[key, hi, coeffs]`` list. A torn line leaves a string or a list
-    open and fails to parse; a line holding two values makes one entry too
-    many, which the count against the lines catches.
+    one ``[key, hi, coeffs]`` list. A torn line is caught by the checksum
+    before it gets here; in a file whose checksum was recomputed after an
+    edit, a line left open fails to parse, and a line holding two values
+    makes one entry too many, which the count against the lines catches.
 
     The JSON decoder has already checked that every integer is a decimal
     one; the rest is checked in bulk: the set of types in each field (the
@@ -260,7 +255,7 @@ def _decode_entries(lines: List[str]) -> Dict[str, RefinedPolynomial]:
     if not entries:
         return {}
     if set(map(type, entries)) != {list} or set(map(len, entries)) != {3}:
-        raise ValueError
+        raise ValueError("an entry is not a [key, hi, coeffs] list")
     keys, his, coeffs = zip(*entries)
     nonempty = list(filter(None, coeffs))
     if (
@@ -273,34 +268,8 @@ def _decode_entries(lines: List[str]) -> Dict[str, RefinedPolynomial]:
         or 0 in map(itemgetter(-1), nonempty)
         or any(compress(his, map(not_, coeffs)))
     ):
-        raise ValueError
+        raise ValueError("an entry is not as save_cache writes it")
     return dict(zip(keys, map(_Deferred, his, coeffs)))
-
-
-def _bad_entry(entry) -> Optional[str]:
-    """Why ``entry`` is not a ``[key, hi, coeffs]`` list as :func:`save_cache`
-    writes it, naming the value and its role: key, exponent (``hi``) or
-    coefficients; None when it is one."""
-    if type(entry) is not list or len(entry) != 3:
-        return f"entry {json.dumps(entry)} is not a [key, hi, coeffs] list"
-    key, hi, coeffs = entry
-    if type(key) is not str:
-        return f"key {json.dumps(key)} is not a string"
-    if type(hi) is not int:
-        return f"exponent {json.dumps(hi)} is not an integer"
-    if type(coeffs) is not list:
-        return f"coefficients {json.dumps(coeffs)} are not a list"
-    for exponent, coefficient in zip(range(hi, hi - 2 * len(coeffs), -2), coeffs):
-        if type(coefficient) is not int:
-            return (
-                f"coefficient {json.dumps(coefficient)} of exponent {exponent} "
-                "is not an integer"
-            )
-    if coeffs and 0 in (coeffs[0], coeffs[-1]):
-        return f"coefficients {json.dumps(coeffs)} start or end with 0"
-    if not coeffs and hi:
-        return f"exponent {hi} of the zero polynomial is not 0"
-    return None
 
 
 def _describe(exc: Exception) -> str:
@@ -314,27 +283,32 @@ def _describe(exc: Exception) -> str:
 def save_cache(path: str, cache: Dict[str, RefinedPolynomial]) -> None:
     """Write the cache file whole or not at all.
 
-    The entries go to a temporary file in the target's directory, which then
-    replaces the target in one rename, so readers and concurrent writers see
-    either the old file or a complete new one; a symlink is resolved first,
-    so its target is replaced and the link kept. A failure part way, such as
-    a value no entry can hold, leaves the old file untouched and removes the
-    temporary one. Nothing is synced to disk, so a power loss can still lose
-    the latest save.
+    The header carries the CRC-32 of the entry lines below it, so a file
+    changed after it was written fails its load. The file goes to a
+    temporary file in the target's directory, which then replaces the
+    target in one rename, so readers and concurrent writers see either the
+    old file or a complete new one; a symlink is resolved first, so its
+    target is replaced and the link kept. A value no entry can hold fails
+    before the temporary file is made, and a failure while writing leaves
+    the old file untouched and removes the temporary one. Nothing is synced
+    to disk, so a power loss can still lose the latest save.
     """
     path = os.path.realpath(path)
+    lines = []
+    for key, poly in sorted(cache.items()):
+        hi, coeffs = _dense(key, poly)
+        # byte for byte what json.dumps gives for [key, hi, coeffs]: only
+        # the key can need escaping, and a list of ints prints as JSON does
+        lines.append(f"[{encode_basestring_ascii(key)}, {hi}, {coeffs}]\n")
+    body = "".join(lines).encode()
+    header = {"version": CACHE_VERSION, "crc32": zlib.crc32(body)}
     # O_EXCL: a name clash fails instead of sharing a file; 0o666 lets the
     # umask set the mode, as a plain open() of the target would
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"version": CACHE_VERSION}) + "\n")
-            # byte for byte what json.dumps gives for [key, hi, coeffs]: only
-            # the key can need escaping, and a list of ints prints as JSON does
-            for key, poly in sorted(cache.items()):
-                hi, coeffs = _dense(key, poly)
-                fh.write(f"[{encode_basestring_ascii(key)}, {hi}, {coeffs}]\n")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(json.dumps(header).encode() + b"\n" + body)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -303,6 +303,14 @@ MUTANTS = [
         "values",
         "every redraw repeats the first, so a degenerate first draw exhausts the attempts",
     ),
+    (
+        "cache-digest-unchecked",
+        "cli.py",
+        'header.get("crc32") != zlib.crc32(body)',
+        "False",
+        "values",
+        "a cache file edited after it was written is read, so a planted coefficient is served",
+    ),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import zlib
 
 import pytest
 
@@ -419,14 +420,24 @@ def test_cache_save_failure_keeps_old_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["memo.jsonl"]
 
 
-# the bytes of a version-4 file; a faster writer must not drift from them
-GOLDEN_CACHE = (
-    '{"version": 4}\n'
+def _signed(body: str) -> str:
+    """``body`` under a version-5 header whose checksum matches it, as an
+    edit that recomputes the checksum leaves a file: the entry checks still
+    apply."""
+    crc = zlib.crc32(body.encode("utf-8"))
+    return json.dumps({"version": 5, "crc32": crc}) + "\n" + body
+
+
+# the bytes of a version-5 file; a faster writer must not drift from them
+GOLDEN_BODY = (
     '["(-1,0);(-1,0);(-1,0);(0,-1);(0,-1);(0,-1);(1,1);(1,1);(1,1)", '
     '2, [1, 7, 1]]\n'
     '["(-2,-2);(0,2);(2,0)", 3, [1, 1, 1, 1]]\n'
     '["big", 3, [1000000000000000000000000000000, 0, 0, '
     '-1000000000000000000000000000000]]\n'
+)
+GOLDEN_CACHE = (
+    '{"version": 5, "crc32": 729238363}\n' + GOLDEN_BODY
 )
 GOLDEN_ENTRIES = {
     "(-1,0);(-1,0);(-1,0);(0,-1);(0,-1);(0,-1);(1,1);(1,1);(1,1)":
@@ -451,10 +462,7 @@ def test_cache_line_matches_json_dumps(tmp_path, key):
     poly = RefinedPolynomial({3: 10**30, 1: 2, -1: 2, -3: 10**30})
     path = tmp_path / "memo.jsonl"
     save_cache(str(path), {key: poly})
-    expected = (
-        json.dumps({"version": 4}) + "\n"
-        + json.dumps([key, 3, [10**30, 2, 2, 10**30]]) + "\n"
-    )
+    expected = _signed(json.dumps([key, 3, [10**30, 2, 2, 10**30]]) + "\n")
     assert path.read_bytes() == expected.encode("utf-8")
     assert load_cache(str(path)) == {key: poly}
 
@@ -482,8 +490,13 @@ def test_cache_save_refuses_mixed_parity_and_keeps_old_file(tmp_path):
     ids=["blank-lines", "trailing-spaces", "crlf", "no-final-newline"],
 )
 def test_cache_loader_tolerates_whitespace(tmp_path, edit):
+    # an edit of the body, whitespace included, fails the checksum; under a
+    # recomputed checksum the entries decode as they did before the edit
     path = tmp_path / "memo.jsonl"
     path.write_bytes(edit(GOLDEN_CACHE).encode("utf-8"))
+    with pytest.raises(CacheFormatError, match="modified or torn"):
+        load_cache(str(path))
+    path.write_bytes(_signed(edit(GOLDEN_BODY)).encode("utf-8"))
     assert load_cache(str(path)) == GOLDEN_ENTRIES
     # entries are written back from the values they were read from
     save_cache(str(path), load_cache(str(path)))
@@ -494,7 +507,8 @@ def test_cache_loader_empty_file(tmp_path):
     path = tmp_path / "memo.jsonl"
     path.write_text("")
     assert load_cache(str(path)) == {}
-    path.write_text('{"version": 4}\n')
+    save_cache(str(path), {})
+    assert path.read_text() == _signed("")
     assert load_cache(str(path)) == {}
 
 
@@ -502,7 +516,7 @@ def test_cache_loader_zero_polynomials(tmp_path):
     # a vanishing invariant is stored with no coefficients; a file may hold
     # only such
     path = tmp_path / "memo.jsonl"
-    text = '{"version": 4}\n["a", 0, []]\n["b", 0, []]\n'
+    text = _signed('["a", 0, []]\n["b", 0, []]\n')
     path.write_text(text)
     loaded = load_cache(str(path))
     assert loaded == {"a": RefinedPolynomial(), "b": RefinedPolynomial()}
@@ -510,145 +524,109 @@ def test_cache_loader_zero_polynomials(tmp_path):
     assert path.read_text() == text
     save_cache(str(path), {"a": RefinedPolynomial(), "b": RefinedPolynomial()})
     assert path.read_text() == text
-    path.write_text(GOLDEN_CACHE + '["zero", 0, []]\n')
+    path.write_text(_signed(GOLDEN_BODY + '["zero", 0, []]\n'))
     assert load_cache(str(path)) == {**GOLDEN_ENTRIES, "zero": RefinedPolynomial()}
 
 
-_HEADER = '{"version": 4}\n'
 _ENTRY = '["(-1,0);(0,-1);(1,1)", 0, [1]]'
 _OTHER = '["(-2,-2);(0,2);(2,0)", 1, [1, 1]]'
 _DEEP = "[" * 100_000 + "]" * 100_000
-
-MALFORMED_CACHES = {
-    # name: (file contents, number of the line named in the error)
-    # a version-1 entry under a version-4 header
-    "array-entry": (_HEADER + '{"key": "k", "poly": {"0": "1"}}\n', 2),
-    "no-poly": (_HEADER + _ENTRY + '\n["k", 0]\n', 3),
-    "no-key": (_HEADER + '[0, [1]]\n', 2),
-    "poly-not-object": (_HEADER + '["k", 0, {"0": 1}]\n', 2),
-    "extra-field": (_HEADER + '["k", 0, [1], 1]\n', 2),
-    "number-key": (_HEADER + '[5, 0, []]\n', 2),
-    "array-header": ('[1]\n' + _ENTRY + '\n', 1),
-    "no-version": ('{}\n' + _ENTRY + '\n', 1),
-    "blank-header": ('\n' + _HEADER + _ENTRY + '\n', 1),
-    "two-entries": (_HEADER + _ENTRY + ", " + _OTHER + "\n", 2),
-    "entry-over-two-lines": (_HEADER + _ENTRY[:-2] + "\n" + _ENTRY[-2:] + "\n", 2),
-    "torn-last-line": (_HEADER + _ENTRY + "\n" + _OTHER[:30], 3),
-    "non-integer-coefficient": (_HEADER + '\n["k", 0, ["1.5"]]\n', 3),
+# bad headers, refused as line 1 before any checksum is computed
+_HEADER_CASES = {
+    "array-header": '[1]\n' + _ENTRY + '\n',
+    "no-version": '{}\n' + _ENTRY + '\n',
+    "blank-header": '\n' + _signed(_ENTRY + '\n'),
+    # nesting too deep for the JSON decoder, which raises RecursionError
+    "deep-header": _DEEP + "\n" + _ENTRY + "\n",
+}
+# bodies under a matching checksum, so each reaches the entry checks
+_BODY_CASES = {
+    # a version-1 entry under a version-5 header
+    "array-entry": '{"key": "k", "poly": {"0": "1"}}\n',
+    "no-poly": _ENTRY + '\n["k", 0]\n',
+    "no-key": '[0, [1]]\n',
+    "poly-not-object": '["k", 0, {"0": 1}]\n',
+    "extra-field": '["k", 0, [1], 1]\n',
+    "number-key": '[5, 0, []]\n',
+    "two-entries": _ENTRY + ", " + _OTHER + "\n",
+    "entry-over-two-lines": _ENTRY[:-2] + "\n" + _ENTRY[-2:] + "\n",
+    "torn-last-line": _ENTRY + "\n" + _OTHER[:30],
+    "non-integer-coefficient": '\n["k", 0, ["1.5"]]\n',
     # int() would read these as 1; a coefficient must be a JSON integer
-    "float-coefficient": (_HEADER + _ENTRY + '\n["k", 0, [1.5]]\n', 3),
-    "boolean-coefficient": (_HEADER + '["k", 2, [true, 0, 1]]\n', 2),
-    "float-exponent": (_HEADER + '["k", 0.0, [1]]\n', 2),
-    "boolean-exponent": (_HEADER + '["k", false, [1]]\n', 2),
+    "float-coefficient": _ENTRY + '\n["k", 0, [1.5]]\n',
+    "boolean-coefficient": '["k", 2, [true, 0, 1]]\n',
+    "float-exponent": '["k", 0.0, [1]]\n',
+    "boolean-exponent": '["k", false, [1]]\n',
     # Python's int() reads these, but JSON has no such integers
-    "plus-coefficient": (_HEADER + '["k", 0, [+5]]\n', 2),
-    "space-coefficient": (_HEADER + '["k", 0, [" 5"]]\n', 2),
-    "underscore-coefficient": (_HEADER + '["k", 0, [1_0]]\n', 2),
-    "non-ascii-coefficient": (_HEADER + _ENTRY + '\n["k", 0, ["\\u0665"]]\n', 3),
-    "non-decimal-exponent": (_HEADER + '["k", "+2", [1]]\n', 2),
+    "plus-coefficient": '["k", 0, [+5]]\n',
+    "space-coefficient": '["k", 0, [" 5"]]\n',
+    "underscore-coefficient": '["k", 0, [1_0]]\n',
+    "non-ascii-coefficient": _ENTRY + '\n["k", 0, ["\\u0665"]]\n',
+    "non-decimal-exponent": '["k", "+2", [1]]\n',
     # one string holding two integers
-    "comma-coefficient": (_HEADER + '["k", 0, ["1,2"]]\n', 2),
-    "empty-coefficient": (_HEADER + '["k", 0, [1, , 1]]\n', 2),
+    "comma-coefficient": '["k", 0, ["1,2"]]\n',
+    "empty-coefficient": '["k", 0, [1, , 1]]\n',
     # past the decoder's 4,300-digit limit; no computed value comes near it
-    "long-coefficient": (_HEADER + _ENTRY + '\n["k", 0, [' + "7" * 5000 + ']]\n', 3),
+    "long-coefficient": _ENTRY + '\n["k", 0, [' + "7" * 5000 + ']]\n',
     # save_cache writes no zero at either end, and the zero polynomial as
     # [key, 0, []]
-    "leading-zero-coefficient": (_HEADER + _ENTRY + '\n["k", 2, [0, 1, 1]]\n', 3),
-    "trailing-zero-coefficient": (_HEADER + '["k", 2, [1, 7, 1, 0]]\n' + _OTHER + '\n', 2),
-    "empty-coefficients-nonzero-exponent": (_HEADER + _ENTRY + '\n["k", 2, []]\n', 3),
+    "leading-zero-coefficient": _ENTRY + '\n["k", 2, [0, 1, 1]]\n',
+    "trailing-zero-coefficient": '["k", 2, [1, 7, 1, 0]]\n' + _OTHER + '\n',
+    "empty-coefficients-nonzero-exponent": _ENTRY + '\n["k", 2, []]\n',
     # one key twice; a dict would keep the later value, here 5 for P2:1
-    "duplicate-key": (_HEADER + _ENTRY + "\n" + _OTHER + "\n" + _ENTRY.replace("[1]", "[5]") + "\n", 4),
-    # nesting too deep for the JSON decoder, which raises RecursionError
-    "deep-header": (_DEEP + "\n" + _ENTRY + "\n", 1),
-    "deep-entry": (_HEADER + _ENTRY + "\n" + _DEEP + "\n", 3),
+    "duplicate-key": _ENTRY + "\n" + _OTHER + "\n" + _ENTRY.replace("[1]", "[5]") + "\n",
+    "deep-entry": _ENTRY + "\n" + _DEEP + "\n",
 }
+MALFORMED_CACHES = {
+    **_HEADER_CASES,
+    **{name: _signed(body) for name, body in _BODY_CASES.items()},
+}
+
+
+def _refusal(path, name):
+    """The start of the message that refuses ``MALFORMED_CACHES[name]``."""
+    if name in _HEADER_CASES:
+        return f"{path}: line 1 is not a cache header "
+    return f"{path}: the entries are not in the cache format "
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_CACHES))
 def test_cache_loader_rejects_malformed_line(tmp_path, name):
-    text, line = MALFORMED_CACHES[name]
     path = tmp_path / "memo.jsonl"
-    path.write_text(text)
-    with pytest.raises(CacheFormatError, match=f"line {line} "):
-        load_cache(str(path))
-
-
-@pytest.mark.parametrize(
-    "name,reason",
-    [
-        ("float-coefficient", "coefficient 1.5 of exponent 0 is not an integer"),
-        ("boolean-coefficient", "coefficient true of exponent 2 is not an integer"),
-        (
-            "non-integer-coefficient",
-            'coefficient "1.5" of exponent 0 is not an integer',
-        ),
-        (
-            "non-ascii-coefficient",
-            'coefficient "\\u0665" of exponent 0 is not an integer',
-        ),
-        ("comma-coefficient", 'coefficient "1,2" of exponent 0 is not an integer'),
-        ("non-decimal-exponent", 'exponent "+2" is not an integer'),
-        ("boolean-exponent", "exponent false is not an integer"),
-        ("number-key", "key 5 is not a string"),
-        ("poly-not-object", 'coefficients {"0": 1} are not a list'),
-        ("no-poly", 'entry ["k", 0] is not a [key, hi, coeffs] list'),
-        ("leading-zero-coefficient", "coefficients [0, 1, 1] start or end with 0"),
-        ("trailing-zero-coefficient", "coefficients [1, 7, 1, 0] start or end with 0"),
-        (
-            "empty-coefficients-nonzero-exponent",
-            "exponent 2 of the zero polynomial is not 0",
-        ),
-        ("duplicate-key", 'key "(-1,0);(0,-1);(1,1)" repeats line 2'),
-    ],
-)
-def test_cache_loader_names_non_string_coefficient(tmp_path, name, reason):
-    # each message names the bad value and its role: key, exponent (hi) or
-    # coefficient
-    text, line = MALFORMED_CACHES[name]
-    path = tmp_path / "memo.jsonl"
-    path.write_text(text)
+    path.write_text(MALFORMED_CACHES[name])
     with pytest.raises(CacheFormatError) as info:
         load_cache(str(path))
-    assert str(info.value) == f"{path}: line {line} is not a cache entry ({reason})"
+    assert str(info.value).startswith(_refusal(path, name))
 
 
 def test_cache_loader_names_the_digit_limit(tmp_path):
-    text, line = MALFORMED_CACHES["long-coefficient"]
     path = tmp_path / "memo.jsonl"
-    path.write_text(text)
-    with pytest.raises(CacheFormatError, match=f"line {line} .*4300 digits"):
+    path.write_text(MALFORMED_CACHES["long-coefficient"])
+    with pytest.raises(CacheFormatError, match="4300 digits"):
         load_cache(str(path))
-
-
-def test_cache_loader_refuses_a_file_its_line_check_passes(tmp_path, monkeypatch):
-    # the bulk decode refuses the non-string key; with the per-line check
-    # made to pass every line, the loader still refuses the file as a whole
-    monkeypatch.setattr("refined_chord.cli._bad_entry", lambda entry: None)
-    path = tmp_path / "memo.jsonl"
-    path.write_text('{"version": 4}\n[5, 0, []]\n')
-    with pytest.raises(CacheFormatError) as info:
-        load_cache(str(path))
-    assert str(info.value).startswith(f"{path}: ")
-    assert "not a cache entry" not in str(info.value)
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_CACHES))
 def test_compute_malformed_cache_exits_2(tmp_path, capsys, name):
-    text, line = MALFORMED_CACHES[name]
+    text = MALFORMED_CACHES[name]
     path = tmp_path / "memo.jsonl"
     path.write_text(text)
     assert main(["compute", "P2:2", "--cache-path", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: line {line} ")
+    assert err.startswith("error: " + _refusal(path, name))
     assert "Traceback" not in err
     assert path.read_text() == text
 
 
 def test_compute_non_utf8_cache_exits_2(tmp_path, capsys):
     path = tmp_path / "memo.jsonl"
-    path.write_bytes(b'{"version": 1}\n\xff\n')
+    body = b"\xff\n"
+    header = {"version": 5, "crc32": zlib.crc32(body)}
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
     assert main(["compute", "P2:2", "--cache-path", str(path)]) == 2
-    assert str(path) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: the entries are not in the cache format ")
+    assert "UnicodeDecodeError" in err
 
 
 def test_cache_version_rejected(tmp_path):
@@ -658,13 +636,13 @@ def test_cache_version_rejected(tmp_path):
         load_cache(str(path))
 
 
-@pytest.mark.parametrize("version", ["3.0", "3e0", "4.0", "4e0"])
+@pytest.mark.parametrize("version", ["3.0", "3e0", "4.0", "4e0", "5.0", "5e0"])
 def test_cache_float_version_is_refused(tmp_path, capsys, version):
-    # a JSON float equals the current version 4, or the older 3, in Python,
+    # a JSON float equals the current version 5, or an older one, in Python,
     # but the version, like every hi and coefficient, must be a JSON integer;
     # the file is left as it was
     path = tmp_path / "memo.jsonl"
-    text = GOLDEN_CACHE.replace('{"version": 4}', '{"version": %s}' % version)
+    text = GOLDEN_CACHE.replace('"version": 5', '"version": %s' % version)
     path.write_text(text)
     with pytest.raises(CacheVersionError, match="unsupported"):
         load_cache(str(path))
@@ -681,12 +659,14 @@ def test_cache_float_version_is_refused(tmp_path, capsys, version):
         (1, '{"version": 1}\n{"key": "(-1,0);(0,-1);(1,1)", "poly": {"0": "1"}}\n'),
         # version 2 keyed entries by vector multiset; version 3 keyed them by
         # GL2(Z) class but left 2- and 3-end degrees under their own sorted
-        # vectors; version 4 keys every degree by its normal form, so both
-        # are refused as version 1 is
-        (2, GOLDEN_CACHE.replace('{"version": 4}', '{"version": 2}')),
-        (3, GOLDEN_CACHE.replace('{"version": 4}', '{"version": 3}')),
+        # vectors; version 4 keyed every degree by its normal form, as
+        # version 5 does, but carried no checksum; all are refused as version
+        # 1 is
+        (2, '{"version": 2}\n' + GOLDEN_BODY),
+        (3, '{"version": 3}\n' + GOLDEN_BODY),
+        (4, '{"version": 4}\n' + GOLDEN_BODY),
     ],
-    ids=["1", "2", "3"],
+    ids=["1", "2", "3", "4"],
 )
 def test_old_cache_version_is_refused_as_deletable(tmp_path, capsys, version, text):
     # no reader for an older version: the file is a memo, so the message
@@ -721,6 +701,46 @@ def test_compute_cache_hit_leaves_file_alone(tmp_path, capsys):
     assert main(["compute", "P2:3", "--cache-path", str(path)]) == 0
     assert os.stat(path).st_ino == inode
     assert capsys.readouterr().out.splitlines() == ["q + 7 + q^-1"] * 2
+
+
+def _refuses_planted_file(path, spec, capsys):
+    # the planted file is refused by name, nothing is printed, and the file
+    # is left as it was
+    before = path.read_bytes()
+    assert main(["compute", spec, "--cache-path", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: modified or torn ")
+    assert "can be deleted" in captured.err
+    assert path.read_bytes() == before
+
+
+def test_compute_refuses_a_planted_middle_coefficient(tmp_path, capsys):
+    # the middle of a palindrome has no mirror, so no check of the entry
+    # itself can see a change to it; the checksum does
+    path = tmp_path / "memo.jsonl"
+    assert main(["compute", "P2:5", "--cache-path", str(path)]) == 0
+    assert "+ 10719 +" in capsys.readouterr().out
+    data = path.read_bytes()
+    assert data.count(b" 10719, ") == 1
+    path.write_bytes(data.replace(b" 10719, ", b" 10718, "))
+    _refuses_planted_file(path, "P2:5", capsys)
+
+
+def test_compute_refuses_an_entry_whose_key_was_edited(tmp_path, capsys):
+    # P2:3's value under the key of a class the file does not hold would be
+    # served for that class
+    path = tmp_path / "memo.jsonl"
+    assert main(["compute", "P2:3", "--cache-path", str(path)]) == 0
+    capsys.readouterr()
+    key = canonical_key(parse_degree("P2:3"))
+    target = canonical_key(parse_degree("P1xP1:2,2"))
+    assert target not in load_cache(str(path))
+    data = path.read_bytes()
+    old, new = json.dumps(key).encode(), json.dumps(target).encode()
+    assert data.count(old) == 1
+    path.write_bytes(data.replace(old, new))
+    _refuses_planted_file(path, "P1xP1:2,2", capsys)
 
 
 def test_compute_refuses_unpackable_cached_subdegree(tmp_path, capsys):

@@ -31,6 +31,9 @@ def labeled_chord_sum(d, v1, vm, cache):
     w1 = (-v1[0], -v1[1])
     totx, toty = sx[full], sy[full]
     memo = {}
+    # closed-block values by sorted vectors: many labeled blocks share one
+    # multiset, which is then keyed and looked up once
+    blocks = {}
 
     def go(rem, prev_su_dir, prev_key):
         state = (rem, prev_su_dir, prev_key)
@@ -61,9 +64,10 @@ def labeled_chord_sum(d, v1, vm, cache):
                 continue
             factor = q_analog(abs(sigma))
             if size > 1:
-                factor = mul(factor, refined_invariant(
-                    make_degree(content + (u,)), cache=cache
-                ))
+                closed = tuple(sorted(content + (u,)))
+                if closed not in blocks:
+                    blocks[closed] = refined_invariant(make_degree(closed), cache=cache)
+                factor = mul(factor, blocks[closed])
             rest = rem & ~block
             if rest == 0:
                 terms.append(factor)
